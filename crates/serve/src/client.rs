@@ -20,7 +20,7 @@
 
 use std::time::{Duration, Instant};
 
-use mtlsplit_nn::Layer;
+use mtlsplit_nn::{InferPlan, Layer};
 use mtlsplit_obs as obs;
 use mtlsplit_split::{TensorCodec, WirePayload};
 use mtlsplit_tensor::{StdRng, Tensor};
@@ -142,15 +142,21 @@ enum Retryability {
     Reconnect,
 }
 
-/// The edge client: runs the shared backbone locally through the immutable
-/// [`Layer::infer`] path, ships the encoded `Z_b` through a [`Transport`],
-/// and decodes the per-task outputs that come back.
+/// The edge client: runs the shared backbone locally through its own
+/// [`InferPlan`], ships the encoded `Z_b` through a [`Transport`], and
+/// decodes the per-task outputs that come back.
+///
+/// The plan's arena is sized by the first request (there is no eager
+/// warm-up); every later edge forward of the same shape reuses its buffers,
+/// and `Z_b` rejoins the arena as soon as it is encoded. The planned forward
+/// is bit-identical to the allocating [`Layer::infer`] chain.
 ///
 /// See this module's source-level docs for the retry, deadline and resync behavior;
 /// all of it is governed by the [`RetryPolicy`] installed via
 /// [`EdgeClient::with_retry_policy`] (the default makes a single attempt).
 pub struct EdgeClient {
     backbone: Box<dyn Layer>,
+    plan: InferPlan,
     codec: TensorCodec,
     transport: Box<dyn Transport>,
     next_request_id: u64,
@@ -181,6 +187,7 @@ impl EdgeClient {
         let policy = RetryPolicy::default();
         Self {
             backbone,
+            plan: InferPlan::new(),
             codec,
             transport,
             next_request_id: 1,
@@ -208,7 +215,7 @@ impl EdgeClient {
         self.policy
     }
 
-    /// Runs the backbone on `input` (immutable `&self` inference) and
+    /// Runs the backbone on `input` through the client's plan and
     /// round-trips the shared representation to the server, returning one
     /// output tensor per task head (in the server's head order).
     ///
@@ -218,23 +225,34 @@ impl EdgeClient {
     /// errors ([`ServeError::Remote`]).
     pub fn infer(&mut self, input: &Tensor) -> Result<Vec<Tensor>> {
         let features = self.backbone_features(input)?;
-        let outputs = self.infer_features(&features)?;
-        Ok(outputs)
+        let payload = self.codec.encode(&features);
+        self.recycle_features(features);
+        self.serve_payload(&payload)
     }
 
-    /// Runs just the edge-resident backbone on `input`, returning the
-    /// shared representation `Z_b` without shipping it anywhere. Policy
-    /// layers use this to compute the features once and then choose between
-    /// the remote and the local path.
+    /// Runs just the edge-resident backbone on `input` through the client's
+    /// plan, returning the shared representation `Z_b` without shipping it
+    /// anywhere. Policy layers use this to compute the features once and
+    /// then choose between the remote and the local path.
+    ///
+    /// The returned tensor belongs to the caller. Its buffer came out of
+    /// the plan's arena, so a caller that drops it instead of handing it
+    /// back makes the next forward allocate a replacement.
     ///
     /// # Errors
     ///
     /// Propagates backbone failures.
-    pub fn backbone_features(&self, input: &Tensor) -> Result<Tensor> {
+    pub fn backbone_features(&mut self, input: &Tensor) -> Result<Tensor> {
         Ok(self
-            .backbone
-            .infer(input)
+            .plan
+            .run(self.backbone.as_ref(), input)
             .map_err(mtlsplit_split::SplitError::from)?)
+    }
+
+    /// Hands a `Z_b` from [`EdgeClient::backbone_features`] back to the
+    /// plan's arena once it is no longer needed.
+    pub(crate) fn recycle_features(&mut self, features: Tensor) {
+        self.plan.recycle(features);
     }
 
     /// Ships an already-computed shared representation `Z_b` to the server.
@@ -244,7 +262,12 @@ impl EdgeClient {
     /// Propagates transport failures and server-reported errors.
     pub fn infer_features(&mut self, features: &Tensor) -> Result<Vec<Tensor>> {
         let payload = self.codec.encode(features);
-        let outputs = self.roundtrip_payload(&payload)?;
+        self.serve_payload(&payload)
+    }
+
+    /// Round-trips an encoded `Z_b` and decodes the per-task outputs.
+    fn serve_payload(&mut self, payload: &WirePayload) -> Result<Vec<Tensor>> {
+        let outputs = self.roundtrip_payload(payload)?;
         outputs
             .iter()
             .map(|p| self.codec.decode(p).map_err(ServeError::from))
@@ -279,6 +302,7 @@ impl EdgeClient {
         for input in inputs {
             let features = self.backbone_features(input)?;
             let payload = self.codec.encode(&features);
+            self.recycle_features(features);
             let id = self.take_request_id();
             frames.push((id, Frame::new(OpCode::InferRequest, id, payload.encode())));
         }
@@ -391,9 +415,12 @@ impl EdgeClient {
     }
 
     /// Replaces the edge-resident backbone, e.g. with the shallower prefix
-    /// a [`EdgeClient::hello`] negotiation assigned.
+    /// a [`EdgeClient::hello`] negotiation assigned. The plan goes with it:
+    /// buffers sized for the old prefix are dropped, and the next request
+    /// sizes the new plan.
     pub fn set_backbone(&mut self, backbone: Box<dyn Layer>) {
         self.backbone = backbone;
+        self.plan = InferPlan::new();
     }
 
     /// Checks server liveness with a ping round-trip.
@@ -668,8 +695,50 @@ mod tests {
         let features = ref_backbone.infer(&x).unwrap();
         for (head, output) in ref_heads.iter().zip(&served) {
             let direct = head.infer(&features).unwrap();
-            assert!(output.allclose(&direct, 1e-6));
+            assert_eq!(output, &direct, "loopback inference diverged from monolith");
         }
+    }
+
+    /// The monolithic forward of the split fixture's reference copy.
+    fn monolithic(backbone: &Sequential, heads: &[Sequential], x: &Tensor) -> Vec<Tensor> {
+        let features = backbone.infer(x).unwrap();
+        heads.iter().map(|h| h.infer(&features).unwrap()).collect()
+    }
+
+    #[test]
+    fn planned_client_stops_allocating_after_the_first_infer() {
+        let (ref_backbone, ref_heads, server, served_backbone) = split_fixture();
+        let mut client = EdgeClient::new(
+            Box::new(served_backbone),
+            TensorCodec::new(Precision::Float32),
+            Box::new(LoopbackTransport::new(server)),
+        );
+        assert_eq!(client.plan.fresh_allocations(), 0, "no eager warm-up");
+        let mut rng = StdRng::seed_from(15);
+        let inputs: Vec<Tensor> = (0..16)
+            .map(|_| Tensor::randn(&[2, 3, 6, 6], 0.0, 1.0, &mut rng))
+            .collect();
+        client.infer(&inputs[0]).unwrap();
+        let warmed = client.plan.fresh_allocations();
+        assert!(warmed > 0, "the first infer sizes the plan");
+        for x in &inputs {
+            let served = client.infer(x).unwrap();
+            assert_eq!(served, monolithic(&ref_backbone, &ref_heads, x));
+        }
+        assert_eq!(
+            client.plan.fresh_allocations(),
+            warmed,
+            "steady-state infer must not take fresh memory"
+        );
+        let outcomes = client.infer_pipelined(&inputs, 4).unwrap();
+        for (x, outcome) in inputs.iter().zip(outcomes) {
+            assert_eq!(outcome.unwrap(), monolithic(&ref_backbone, &ref_heads, x));
+        }
+        assert_eq!(
+            client.plan.fresh_allocations(),
+            warmed,
+            "pipelined edge forwards must not take fresh memory"
+        );
     }
 
     #[test]
@@ -718,7 +787,7 @@ mod tests {
         let features = ref_backbone.infer(&x).unwrap();
         for (head, output) in ref_heads.iter().zip(&served) {
             let direct = head.infer(&features).unwrap();
-            assert!(output.allclose(&direct, 1e-6));
+            assert_eq!(output, &direct, "TCP inference diverged from monolith");
         }
         drop(client);
         tcp.stop();
@@ -872,6 +941,44 @@ mod tests {
             .find(|s| s.label == "stem")
             .unwrap();
         assert_eq!(stem.requests, 1);
+    }
+
+    #[test]
+    fn set_backbone_replaces_the_plan_and_stays_monolithic() {
+        let (ref_backbone, edge_prefix, ref_heads, server) = negotiated_fixture();
+        let mut client = EdgeClient::new(
+            Box::new(Sequential::new()),
+            TensorCodec::new(Precision::Float32),
+            Box::new(LoopbackTransport::new(server)),
+        );
+        // Default split with the identity backbone: Z_b is shipped as given,
+        // and the plan is sized for it.
+        let mut rng = StdRng::seed_from(44);
+        let z = Tensor::randn(&[3, 16], 0.0, 1.0, &mut rng);
+        let served = client.infer(&z).unwrap();
+        let direct: Vec<Tensor> = ref_heads.iter().map(|h| h.infer(&z).unwrap()).collect();
+        assert_eq!(served, direct);
+        assert!(client.plan.fresh_allocations() > 0);
+
+        assert_eq!(client.hello("constrained", 25.0).unwrap().stage, 1);
+        client.set_backbone(Box::new(edge_prefix));
+        assert_eq!(
+            client.plan.fresh_allocations(),
+            0,
+            "the old prefix's pool must go with it"
+        );
+        let mut warmed = None;
+        for round in 0..17 {
+            let x = Tensor::randn(&[3, 3, 6, 6], 0.0, 1.0, &mut rng);
+            let served = client.infer(&x).unwrap();
+            assert_eq!(
+                served,
+                monolithic(&ref_backbone, &ref_heads, &x),
+                "round {round}: shallow prefix diverged from monolith"
+            );
+            let fresh = client.plan.fresh_allocations();
+            assert_eq!(*warmed.get_or_insert(fresh), fresh, "round {round}");
+        }
     }
 
     #[test]

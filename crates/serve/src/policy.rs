@@ -13,6 +13,12 @@
 //! to the monolithic forward — degradation costs latency and edge energy,
 //! never accuracy.
 //!
+//! The fallback runs the tail and the heads through its own
+//! [`InferPlan`], separate from the [`EdgeClient`]'s backbone plan. Its
+//! intermediates are recycled into that plan, and the outputs it returns
+//! are copies that belong to the caller, so after the first local serve the
+//! plan takes no fresh buffers for requests of the same shape.
+//!
 //! The circuit breaker keeps a dying link from burning a full retry budget
 //! on every request. It is deliberately wall-clock-free, counting requests
 //! instead of seconds, so its behavior replays deterministically under the
@@ -32,7 +38,7 @@
 //! count toward the breaker, and do not trigger fallback — a request the
 //! server understood and rejected would be rejected by the local model too.
 
-use mtlsplit_nn::Layer;
+use mtlsplit_nn::{InferPlan, Layer};
 use mtlsplit_obs as obs;
 use mtlsplit_tensor::Tensor;
 
@@ -132,6 +138,7 @@ pub struct ResilientClient {
     client: EdgeClient,
     tail: Option<Box<dyn Layer>>,
     heads: Vec<Box<dyn Layer>>,
+    plan: InferPlan,
     config: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
@@ -165,6 +172,7 @@ impl ResilientClient {
             client,
             tail,
             heads,
+            plan: InferPlan::new(),
             config,
             state: BreakerState::Closed,
             consecutive_failures: 0,
@@ -183,7 +191,9 @@ impl ResilientClient {
     /// they are answered by the fallback.
     pub fn infer(&mut self, input: &Tensor) -> Result<Served> {
         let features = self.client.backbone_features(input)?;
-        self.infer_features(&features)
+        let served = self.infer_features(&features);
+        self.client.recycle_features(features);
+        served
     }
 
     /// Serves an already-computed shared representation `Z_b`.
@@ -273,25 +283,34 @@ impl ResilientClient {
     /// The exact computation the server would run: finish the backbone with
     /// the tail (if the split keeps one server-side), then run every head.
     /// Same weights, same deterministic kernels — bit-identical outputs.
-    fn run_local(&self, features: &Tensor) -> Result<Vec<Tensor>> {
-        let tail_output;
-        let input = match &self.tail {
-            Some(tail) => {
-                tail_output = tail
-                    .infer(features)
-                    .map_err(mtlsplit_split::SplitError::from)?;
-                &tail_output
-            }
-            None => features,
+    fn run_local(&mut self, features: &Tensor) -> Result<Vec<Tensor>> {
+        let tail_output = match &self.tail {
+            Some(tail) => Some(
+                self.plan
+                    .run(tail.as_ref(), features)
+                    .map_err(mtlsplit_split::SplitError::from)?,
+            ),
+            None => None,
         };
-        self.heads
+        let input = tail_output.as_ref().unwrap_or(features);
+        let outputs: Result<Vec<Tensor>> = self
+            .heads
             .iter()
             .map(|head| {
-                head.infer(input)
-                    .map_err(mtlsplit_split::SplitError::from)
-                    .map_err(ServeError::from)
+                let output = self
+                    .plan
+                    .run(head.as_ref(), input)
+                    .map_err(mtlsplit_split::SplitError::from)?;
+                // The caller keeps a copy; the arena keeps the buffer.
+                let owned = output.clone();
+                self.plan.recycle(output);
+                Ok(owned)
             })
-            .collect()
+            .collect();
+        if let Some(output) = tail_output {
+            self.plan.recycle(output);
+        }
+        outputs
     }
 
     /// Transient failures are channel problems the fallback can absorb;
@@ -451,6 +470,38 @@ mod tests {
         assert_eq!(resilient.stats().breaker_trips, 1);
         assert_eq!(resilient.stats().fallbacks, 6);
         assert_eq!(resilient.stats().remote, 0);
+    }
+
+    #[test]
+    fn fallback_plan_stops_allocating_after_the_first_local_serve() {
+        let Fixture {
+            reference_backbone: ref_backbone,
+            reference_heads: ref_heads,
+            server,
+            served_backbone,
+            fallback,
+        } = fixture();
+        let client = EdgeClient::new(
+            Box::new(served_backbone),
+            TensorCodec::new(Precision::Float32),
+            Box::new(ToggleTransport {
+                inner: LoopbackTransport::new(server),
+                down: Arc::new(AtomicBool::new(true)),
+            }),
+        );
+        let mut resilient = ResilientClient::new(client, None, fallback, BreakerConfig::default());
+        assert_eq!(resilient.plan.fresh_allocations(), 0, "no eager warm-up");
+        let mut rng = StdRng::seed_from(82);
+        let mut warmed = None;
+        for round in 0..17 {
+            let x = Tensor::randn(&[2, 3, 4, 4], 0.0, 1.0, &mut rng);
+            let served = resilient.infer(&x).unwrap();
+            assert_eq!(served.via, ServedVia::Fallback, "round {round}");
+            assert_eq!(served.outputs, monolithic(&ref_backbone, &ref_heads, &x));
+            let fresh = resilient.plan.fresh_allocations();
+            assert!(fresh > 0, "round {round}: the fallback runs planned");
+            assert_eq!(*warmed.get_or_insert(fresh), fresh, "round {round}");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@ use mtlsplit_core::{deploy, MtlSplitModel};
 use mtlsplit_data::TaskSpec;
 use mtlsplit_models::BackboneKind;
 use mtlsplit_serve::{
-    BreakerConfig, EdgeClient, FaultPlan, FaultyTransport, InferenceServer, LoopbackTransport,
-    ResilientClient, RetryPolicy, ServeError, ServedVia, ServerConfig,
+    BreakerConfig, EdgeClient, FaultPlan, FaultyTransport, Frame, InferenceServer,
+    LoopbackTransport, ResilientClient, RetryPolicy, ServeError, ServedVia, ServerConfig,
+    Transport,
 };
 use mtlsplit_split::TensorCodec;
 use mtlsplit_tensor::{StdRng, Tensor};
@@ -155,6 +156,51 @@ fn fault_sequences_replay_identically_across_runs() {
         assert_eq!(first.1, second.1, "plan {plan:?}: stats diverged");
         assert_eq!(first.2, second.2, "plan {plan:?}: breaker diverged");
     }
+}
+
+/// A link that never comes up: every request fails as a refused connection.
+struct DeadLink;
+
+impl Transport for DeadLink {
+    fn request(&mut self, _frame: &Frame) -> mtlsplit_serve::Result<Frame> {
+        Err(ServeError::Io(std::io::Error::new(
+            std::io::ErrorKind::ConnectionRefused,
+            "link down",
+        )))
+    }
+}
+
+#[test]
+fn fallback_at_a_mid_backbone_split_is_bitwise_monolithic() {
+    // Stage 1 keeps a real backbone tail on the server side, so the local
+    // fallback must finish the backbone before running the heads.
+    let monolithic = fixture_model();
+    let (edge, _) = deploy::split_for_serving_at(fixture_model(), 1).expect("split");
+    let (tail, heads) = deploy::split_for_serving_at(fixture_model(), 1)
+        .expect("split")
+        .1
+        .into_parts();
+    assert!(tail.is_some(), "stage 1 must leave a backbone tail");
+    let client = EdgeClient::new(
+        edge.into_layer(),
+        TensorCodec::default(),
+        Box::new(DeadLink),
+    );
+    let mut resilient = ResilientClient::new(client, tail, heads, BreakerConfig::default());
+    let mut rng = StdRng::seed_from(95);
+    for round in 0..8 {
+        let batch = if round % 2 == 0 { 1 } else { 3 };
+        let x = Tensor::randn(&[batch, 3, 16, 16], 0.5, 0.2, &mut rng);
+        let expected = monolithic.infer_forward(&x).expect("monolithic").1;
+        let served = resilient.infer(&x).expect("the fallback answers");
+        assert_eq!(served.via, ServedVia::Fallback, "round {round}");
+        assert_eq!(
+            served.outputs, expected,
+            "round {round} (batch {batch}): fallback diverged from the monolith"
+        );
+    }
+    assert_eq!(resilient.stats().fallbacks, 8);
+    assert_eq!(resilient.stats().remote, 0);
 }
 
 #[test]
