@@ -1,11 +1,9 @@
 //! Experiment runners that regenerate every table of the paper's evaluation.
 //!
-//! Each runner returns plain serialisable rows so the `mtlsplit-bench`
-//! binaries can print them as tables and dump them as JSON for
-//! `EXPERIMENTS.md`. Two presets are provided: [`Preset::Quick`] finishes in
-//! minutes on a laptop CPU and is used by the integration tests;
-//! [`Preset::Full`] uses larger corpora and more epochs and is what the
-//! committed experiment records were produced with.
+//! Each runner returns plain rows that the `mtlsplit-tools` binaries print
+//! as tables and, on request, write to a file. Two presets are provided:
+//! [`Preset::Quick`] finishes in minutes on a laptop CPU and is used by the
+//! integration tests; [`Preset::Full`] uses larger corpora and more epochs.
 
 use mtlsplit_data::faces::FacesConfig;
 use mtlsplit_data::medic::MedicConfig;
@@ -26,7 +24,7 @@ use crate::trainer::{train_mtl, train_stl, TrainConfig};
 pub enum Preset {
     /// Small corpora and few epochs: minutes of CPU time, used in CI/tests.
     Quick,
-    /// Larger corpora and more epochs: the committed experiment records.
+    /// Larger corpora and more epochs, for paper-scale runs.
     Full,
 }
 

@@ -353,12 +353,13 @@ impl MtlSplitModel {
     /// planned, zero-allocation training step.
     ///
     /// Every activation, layer cache, gradient and optimizer update runs on
-    /// recycled arena buffers and in-place sweeps; after the first (warm-up)
-    /// step a steady-state step performs **zero heap allocations** (the
-    /// training bench machine-checks this in the single-threaded regime;
-    /// multi-threaded runs additionally spawn scoped worker threads inside
-    /// the GEMMs). Per-task losses land in `losses` (cleared, then filled in
-    /// head order) so the hot loop does not return a fresh `Vec` per step.
+    /// recycled arena buffers and in-place sweeps; after two warm-up steps
+    /// (see [`TrainPlan`] for why the second may still grow the pool) a
+    /// step performs **zero heap allocations** (`tests/zero_alloc.rs`
+    /// machine-checks this in the single-threaded regime; multi-threaded
+    /// runs additionally spawn scoped worker threads inside the GEMMs).
+    /// Per-task losses land in `losses` (cleared, then filled in head
+    /// order) so the hot loop does not return a fresh `Vec` per step.
     ///
     /// Head forwards and backwards are interleaved (forward → loss →
     /// backward per head, in head order) instead of two sweeps; no RNG

@@ -168,10 +168,10 @@ pub fn train_model(
     let mut loss_history = Vec::with_capacity(config.epochs);
 
     // One TrainPlan for the whole run: the first step is the warm-up that
-    // sizes every activation/cache/gradient buffer; every later step —
-    // across batches and epochs — reuses them (zero steady-state heap
-    // allocations per step). The per-step losses land in one reusable
-    // buffer for the same reason. The epoch loop itself clones nothing —
+    // sizes every activation/cache/gradient buffer; later steps — across
+    // batches and epochs — reuse them (zero heap allocations per step once
+    // the pool settles, see `TrainPlan`). The per-step losses land in one
+    // reusable buffer for the same reason. The epoch loop itself clones nothing —
     // no config, metric, or model state is copied per epoch or per batch.
     let mut plan = TrainPlan::new();
     let mut batch_losses: Vec<f32> = Vec::new();

@@ -35,9 +35,9 @@
 //!   the training twins: outputs, cached activations, and every gradient
 //!   temporary come from the arena, replaced caches recycle the buffer the
 //!   previous step used (cross-step reuse), and [`TrainPlan`] packages the
-//!   arena for a whole training loop — after the first (warm-up) step, a
-//!   steady-state training step performs **zero heap allocations**. On the
-//!   backward pass, a GEMM-backed layer preceded by a fusable activation
+//!   arena for a whole training loop — after two warm-up steps (see
+//!   [`TrainPlan`]), a training step performs **zero heap allocations**. On
+//!   the backward pass, a GEMM-backed layer preceded by a fusable activation
 //!   absorbs the activation's gradient mask into its input-gradient
 //!   kernel's write-back ([`GradMask`] riding [`mtlsplit_tensor::Epilogue::Mask`]),
 //!   a `Linear` layer's bias-gradient reduction runs on the GEMM's

@@ -268,14 +268,17 @@ impl Layer for BatchNorm2d {
         let (batch, height, width) = self.check_input(input)?;
         let plane = height * width;
         // The replaced cache buffers go back to the arena before the new
-        // ones are taken — cross-step reuse of the very same memory.
+        // ones are taken — cross-step reuse of the very same memory. The
+        // caches are taken before the output so they get their own buffers
+        // back; taken after, the output would claim the cache's buffer and
+        // push the cache into a larger one, growing the pool for a step.
         if let Some(old) = self.cache.take() {
             ctx.recycle(old.normalized);
             ctx.give(old.std_inv);
         }
-        let mut out = ctx.take(input.len());
         let mut normalized = ctx.take(input.len());
         let mut std_inv = ctx.take(self.channels);
+        let mut out = ctx.take(input.len());
         self.write_train(
             input.as_slice(),
             &mut out,

@@ -120,11 +120,16 @@ impl InferPlan {
 /// One `TrainPlan` is meant to live as long as the training loop: the first
 /// step through it is the warm-up that sizes every activation, cached
 /// input, and gradient buffer; every later step — across batches *and*
-/// epochs — is served entirely from recycled memory (zero steady-state heap
-/// allocations per step, machine-checked by `benches/training.rs`). Layer
-/// caches written during a planned forward recycle the buffer they replace
-/// into the same arena, which is what makes the reuse cross-step rather
-/// than merely intra-step.
+/// epochs — is served from recycled memory. Layer caches written during a
+/// planned forward recycle the buffer they replace into the same arena,
+/// which is what makes the reuse cross-step rather than merely intra-step.
+///
+/// Because the arena reuses buffers best-fit, a buffer recycled at the end
+/// of one step can be claimed by a smaller request earlier in the next, so
+/// the pool may still grow by a few buffers during the **second** step
+/// (a stack of MBConv blocks does). From the third step on, a step of a
+/// fixed batch shape performs zero heap allocations — machine-checked on
+/// every backbone family by `tests/zero_alloc.rs`.
 ///
 /// The plan never changes results: the planned training step is
 /// bit-identical (0 ULP, parameter-for-parameter over a whole run) to the
@@ -216,8 +221,8 @@ impl TrainPlan {
     }
 
     /// How many arena takes had to allocate fresh memory so far — stable in
-    /// steady state (the zero-allocation guarantee: the warm-up step grows
-    /// it, later steps must not).
+    /// steady state (the zero-allocation guarantee: the two warm-up steps
+    /// grow it, later steps must not).
     pub fn fresh_allocations(&self) -> usize {
         self.arena.fresh_allocations()
     }

@@ -15,15 +15,16 @@
 //! recording a histogram value or bumping a counter is a relaxed atomic
 //! add into a fixed bucket array. After a thread's first span (which
 //! allocates its ring once, during warm-up), the record path performs no
-//! heap allocation — machine-checked by the counting-allocator gates in
-//! `benches/inference.rs`, which assert 0 allocations per request with
-//! tracing **enabled**.
+//! heap allocation — machine-checked by the counting allocator in
+//! `tests/zero_alloc.rs`, which asserts 0 allocations per planned request
+//! and training step with tracing **enabled**.
 //!
 //! **Single-branch overhead when disabled.** Span recording is off by
 //! default and gated on one relaxed [`AtomicBool`]: a span site on the
 //! disabled path costs exactly one atomic load and one branch — no clock
-//! read, no thread-local access. The inference bench bounds this overhead
-//! with an assertion, so kernels keep their spans in release builds.
+//! read, no thread-local access — cheap enough that kernels keep their
+//! spans in release builds. (The repo benchmark reports what *enabled*
+//! tracing costs as `trace.overhead_pct`.)
 //! Counters and histograms are always on (one relaxed `fetch_add` each).
 //!
 //! # Using it

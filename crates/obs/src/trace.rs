@@ -9,8 +9,7 @@
 //!
 //! Tracing is off by default. The enable flag is a single relaxed
 //! `AtomicBool`, so a span site on the disabled path costs exactly one
-//! atomic load and one branch — cheap enough to leave in release kernels
-//! (bounded by an assertion in the inference bench).
+//! atomic load and one branch — cheap enough to leave in release kernels.
 //!
 //! [`export`] snapshots every thread's ring (including threads that have
 //! since exited) for aggregation ([`span_stats`], [`layer_profile`]) or

@@ -120,7 +120,7 @@ impl FaultPlan {
     }
 
     /// A mildly lossy link — roughly 1% corruption plus occasional 5 ms
-    /// stalls — used by the serving bench's fault-injected row.
+    /// stalls.
     pub fn light(seed: u64) -> Self {
         Self {
             seed,

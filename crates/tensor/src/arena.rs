@@ -6,7 +6,8 @@
 //! `Vec<f32>` of every finished intermediate and hands it back out for the
 //! next one that fits, so after a warm-up request a whole forward pass is
 //! served entirely from recycled memory — **zero allocations per request**
-//! in steady state (asserted by `benches/inference.rs` in quick mode).
+//! in steady state (asserted by the counting allocator in
+//! `tests/zero_alloc.rs`).
 //!
 //! The arena is a plain best-fit free list, not a lifetime-bound slab:
 //! buffers taken from it are ordinary owned `Vec<f32>`s (wrapped in
@@ -143,7 +144,7 @@ impl TensorArena {
     /// How many [`TensorArena::take`] calls had to allocate fresh memory.
     ///
     /// In steady state this counter stops moving — that is the
-    /// zero-allocation guarantee, machine-checked by the inference bench.
+    /// zero-allocation guarantee, machine-checked by `tests/zero_alloc.rs`.
     pub fn fresh_allocations(&self) -> usize {
         self.fresh_allocations
     }

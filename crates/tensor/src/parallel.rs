@@ -123,9 +123,9 @@ impl std::fmt::Display for Parallelism {
 ///
 /// Spawning and joining a scoped thread costs tens of microseconds; below
 /// roughly one floor's worth of work per thread that overhead exceeds the
-/// compute, so small problems must run inline. The `BENCH_kernels.json`
-/// grid showed exactly that regression before the floor existed: 2- and
-/// 4-thread GEMMs slower than single-threaded up to `n = 384`. The floor
+/// compute, so small problems must run inline. A thread-count sweep of
+/// square GEMMs showed exactly that regression before the floor existed:
+/// 2- and 4-thread GEMMs slower than single-threaded up to `n = 384`. The floor
 /// is *per dispatch path* — a wider micro-kernel retires the same MACs in
 /// fewer cycles, so the faster the path, the more work a worker must bring
 /// to amortise its spawn (see `simd::{SCALAR,AVX2,AVX512}_MIN_MACS`). The

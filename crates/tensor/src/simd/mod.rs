@@ -23,8 +23,8 @@
 //! environment variable (`scalar`, `avx2` or `avx512`); unknown values are
 //! rejected with [`TensorError::UnknownIsa`] and paths the CPU lacks with
 //! [`TensorError::UnsupportedIsa`] (surfaced by [`resolve_isa`], or as a
-//! panic at first kernel use if never pre-flighted). Tests and benches pin
-//! a path for one closure with [`Isa::with`].
+//! panic at first kernel use if never pre-flighted). Tests pin a path for
+//! one closure with [`Isa::with`].
 
 use crate::error::{Result, TensorError};
 use crate::kernels::{Epilogue, TilePass};
@@ -113,7 +113,7 @@ pub(crate) fn sub_scalar(xs: &mut [f32], s: f32) {
 /// The crate resolves the best supported path once per process (override
 /// with `MTLSPLIT_FORCE_ISA=scalar|avx2|avx512`); [`Isa::with`] pins a path
 /// for the duration of one closure on the calling thread, which is how the
-/// per-ISA property tests and benches drive every path in one process.
+/// per-ISA property tests drive every path in one process.
 ///
 /// All paths are bit-identical on a given machine — see the crate docs for
 /// the determinism contract.

@@ -2,11 +2,11 @@
 //! needed for N separate single-task networks versus one shared MTL-Split
 //! backbone, and whether each deployment fits a Jetson-Nano-class device.
 //!
-//! Usage: `cargo run --release -p mtlsplit-bench --bin loc_analysis -- [--json PATH]`
+//! Usage: `cargo run --release -p mtlsplit-tools --bin loc_analysis -- [--json PATH]`
 
-use mtlsplit_bench::{maybe_write_rows, print_paradigm_rows, CliOptions};
 use mtlsplit_core::experiment::run_paradigm_analysis;
 use mtlsplit_split::{ChannelModel, DeploymentParadigm, EdgeDevice, WorkloadProfile};
+use mtlsplit_tools::{maybe_write_rows, print_paradigm_rows, CliOptions};
 
 /// Reruns the feasibility argument with the paper's own published model
 /// sizes (Table 4 / Section 4.2), so the "only MobileNetV3 fits under LoC"

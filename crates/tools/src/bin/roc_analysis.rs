@@ -3,10 +3,10 @@
 //! plus a degraded-channel sweep showing how the gap widens as the link
 //! quality drops.
 //!
-//! Usage: `cargo run --release -p mtlsplit-bench --bin roc_analysis -- [--json PATH]`
+//! Usage: `cargo run --release -p mtlsplit-tools --bin roc_analysis -- [--json PATH]`
 
-use mtlsplit_bench::{maybe_write_rows, CliOptions};
 use mtlsplit_split::ChannelModel;
+use mtlsplit_tools::{maybe_write_rows, CliOptions};
 
 #[derive(Debug)]
 struct RocRow {

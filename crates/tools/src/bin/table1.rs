@@ -2,11 +2,11 @@
 //! 3D-Shapes-like corpus (object size `T1`, object type `T2`) for all three
 //! backbone families.
 //!
-//! Usage: `cargo run --release -p mtlsplit-bench --bin table1 -- [--quick|--full] [--seed N] [--json PATH]`
+//! Usage: `cargo run --release -p mtlsplit-tools --bin table1 -- [--quick|--full] [--seed N] [--json PATH]`
 
-use mtlsplit_bench::{maybe_write_rows, print_comparison, CliOptions};
 use mtlsplit_core::experiment::run_table1;
 use mtlsplit_models::BackboneKind;
+use mtlsplit_tools::{maybe_write_rows, print_comparison, CliOptions};
 
 fn main() {
     let options = CliOptions::from_env();

@@ -1,11 +1,11 @@
 //! Regenerates Table 2: STL vs MTL classification accuracy on the MEDIC-like
 //! incident-imagery corpus (damage severity `T1`, disaster type `T2`).
 //!
-//! Usage: `cargo run --release -p mtlsplit-bench --bin table2 -- [--quick|--full] [--seed N] [--json PATH]`
+//! Usage: `cargo run --release -p mtlsplit-tools --bin table2 -- [--quick|--full] [--seed N] [--json PATH]`
 
-use mtlsplit_bench::{maybe_write_rows, print_comparison, CliOptions};
 use mtlsplit_core::experiment::run_table2;
 use mtlsplit_models::BackboneKind;
+use mtlsplit_tools::{maybe_write_rows, print_comparison, CliOptions};
 
 fn main() {
     let options = CliOptions::from_env();

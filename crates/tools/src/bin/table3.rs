@@ -2,11 +2,11 @@
 //! backbone pre-trained on the shapes corpus, for every task subset
 //! (T1+T3, T2+T3, T1+T2+T3) against per-task STL baselines.
 //!
-//! Usage: `cargo run --release -p mtlsplit-bench --bin table3 -- [--quick|--full] [--seed N] [--json PATH]`
+//! Usage: `cargo run --release -p mtlsplit-tools --bin table3 -- [--quick|--full] [--seed N] [--json PATH]`
 
-use mtlsplit_bench::{maybe_write_rows, print_comparison, CliOptions};
 use mtlsplit_core::experiment::run_table3;
 use mtlsplit_models::BackboneKind;
+use mtlsplit_tools::{maybe_write_rows, print_comparison, CliOptions};
 
 fn main() {
     let options = CliOptions::from_env();

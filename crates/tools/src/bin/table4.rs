@@ -6,10 +6,10 @@
 //! pass `--native` to report the scaled models at their native resolution
 //! instead.
 //!
-//! Usage: `cargo run --release -p mtlsplit-bench --bin table4 -- [--native] [--json PATH]`
+//! Usage: `cargo run --release -p mtlsplit-tools --bin table4 -- [--native] [--json PATH]`
 
-use mtlsplit_bench::{maybe_write_rows, print_model_reports, CliOptions};
 use mtlsplit_core::experiment::run_table4;
+use mtlsplit_tools::{maybe_write_rows, print_model_reports, CliOptions};
 
 fn main() {
     let options = CliOptions::from_env();

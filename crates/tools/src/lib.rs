@@ -1,11 +1,11 @@
 //! Shared helpers for the table-regeneration binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or analysis from the
-//! paper (see `DESIGN.md` for the experiment index). They all follow the
-//! same pattern: parse a `--quick`/`--full` preset from the command line, run
-//! the corresponding `mtlsplit_core::experiment` runner, print a
-//! human-readable table, and optionally dump the raw rows as JSON next to the
-//! binary output so `EXPERIMENTS.md` can reference exact numbers.
+//! paper. They all follow the same pattern: parse a `--quick`/`--full`
+//! preset from the command line, run the corresponding
+//! `mtlsplit_core::experiment` runner, print a human-readable table, and,
+//! given `--json <path>`, write the raw rows to that file (see
+//! [`maybe_write_rows`] for the format).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
