@@ -644,7 +644,8 @@ impl EdgeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{InferenceServer, ServerConfig, TcpServer};
+    use crate::mux::MuxServer;
+    use crate::server::{InferenceServer, ServerConfig};
     use crate::transport::{LoopbackTransport, TcpTransport};
     use mtlsplit_nn::{Flatten, Linear, Relu, Sequential};
     use mtlsplit_split::Precision;
@@ -773,8 +774,8 @@ mod tests {
     fn tcp_round_trip_matches_loopback() {
         let (ref_backbone, ref_heads, server, served_backbone) = split_fixture();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp = TcpServer::spawn(Arc::clone(&server), listener).unwrap();
-        let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
+        let mux = MuxServer::spawn(Arc::clone(&server), listener).unwrap();
+        let transport = TcpTransport::connect(mux.local_addr()).unwrap();
         let mut client = EdgeClient::new(
             Box::new(served_backbone),
             TensorCodec::new(Precision::Float32),
@@ -790,22 +791,22 @@ mod tests {
             assert_eq!(output, &direct, "TCP inference diverged from monolith");
         }
         drop(client);
-        tcp.stop();
+        mux.stop();
     }
 
     #[test]
     fn tcp_stop_returns_even_with_a_client_still_connected() {
         let (_, _, server, _) = split_fixture();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp = TcpServer::spawn(Arc::clone(&server), listener).unwrap();
-        let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
+        let mux = MuxServer::spawn(Arc::clone(&server), listener).unwrap();
+        let transport = TcpTransport::connect(mux.local_addr()).unwrap();
         let mut client = EdgeClient::new(Box::new(Sequential::new()), TensorCodec::default(), {
             Box::new(transport)
         });
         client.ping().unwrap();
         // Stop without dropping the client: the server severs the socket
         // instead of waiting for a disconnect that never comes.
-        tcp.stop();
+        mux.stop();
         assert!(client.ping().is_err(), "socket must be closed after stop");
     }
 
@@ -837,8 +838,8 @@ mod tests {
     fn metrics_scrape_over_tcp_matches_the_server_snapshot() {
         let (_, _, server, served_backbone) = split_fixture();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp = TcpServer::spawn(Arc::clone(&server), listener).unwrap();
-        let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
+        let mux = MuxServer::spawn(Arc::clone(&server), listener).unwrap();
+        let transport = TcpTransport::connect(mux.local_addr()).unwrap();
         let mut client = EdgeClient::new(
             Box::new(served_backbone),
             TensorCodec::new(Precision::Float32),
@@ -862,7 +863,7 @@ mod tests {
         assert_eq!(scraped.decode, local.decode);
         assert_eq!(scraped.queue_wait, local.queue_wait);
         drop(client);
-        tcp.stop();
+        mux.stop();
     }
 
     /// Builds a split-capable server: variant 0 expects the full backbone
@@ -985,8 +986,8 @@ mod tests {
     fn negotiated_split_over_tcp_is_bitwise_monolithic() {
         let (ref_backbone, edge_prefix, ref_heads, server) = negotiated_fixture();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp = TcpServer::spawn(Arc::clone(&server), listener).unwrap();
-        let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
+        let mux = MuxServer::spawn(Arc::clone(&server), listener).unwrap();
+        let transport = TcpTransport::connect(mux.local_addr()).unwrap();
         let mut client = EdgeClient::new(
             Box::new(edge_prefix),
             TensorCodec::new(Precision::Float32),
@@ -1003,7 +1004,7 @@ mod tests {
             assert_eq!(output, &direct, "negotiated TCP split diverged");
         }
         drop(client);
-        tcp.stop();
+        mux.stop();
     }
 
     #[test]

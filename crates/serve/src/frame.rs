@@ -294,10 +294,10 @@ impl RawHeader {
     }
 }
 
-/// One message read leniently from a stream: either a valid [`Frame`], or a
-/// rejected one whose bytes were fully consumed — the stream is still
-/// synchronized, so a server can answer with a typed error frame and keep
-/// the connection alive instead of severing it.
+/// One message cut from a stream by a [`FrameAssembler`]: either a valid
+/// [`Frame`], or a rejected one whose bytes were fully consumed — the stream
+/// is still synchronized, so a server can answer with a typed error frame
+/// and keep the connection alive instead of severing it.
 #[derive(Debug)]
 pub enum Received {
     /// A well-formed frame.
@@ -466,28 +466,10 @@ impl Frame {
     /// Returns a typed [`ServeError`] on protocol violations (including
     /// [`ServeError::ChecksumMismatch`] for corrupted frames) and
     /// [`ServeError::Io`] on socket failures, including streams cut mid-frame.
+    /// An unsupported version, an unknown op code or a checksum mismatch is
+    /// reported only after the frame's body has been consumed, so the
+    /// stream stays positioned at the next frame.
     pub fn read_from<R: Read>(reader: &mut R, max_body: usize) -> Result<Option<Self>> {
-        match Self::read_from_lenient(reader, max_body)? {
-            None => Ok(None),
-            Some(Received::Frame(frame)) => Ok(Some(frame)),
-            Some(Received::Rejected { error, .. }) => Err(error),
-        }
-    }
-
-    /// Reads one message from `reader` like [`Frame::read_from`], but keeps
-    /// the stream alive across *recoverable* rejections: an unsupported
-    /// version, an unknown op code or a checksum mismatch all arrive with an
-    /// intact length prefix, so the reader consumes the offending body and
-    /// returns [`Received::Rejected`] with the stream positioned at the next
-    /// frame. A server uses this to answer garbage with a typed error frame
-    /// instead of severing the connection.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` only for rejections that desynchronize or break the
-    /// stream: bad magic, an oversized length prefix, truncation and I/O
-    /// failures.
-    pub fn read_from_lenient<R: Read>(reader: &mut R, max_body: usize) -> Result<Option<Received>> {
         let mut header = [0u8; HEADER_BYTES];
         let mut filled = 0usize;
         while filled < HEADER_BYTES {
@@ -512,11 +494,7 @@ impl Frame {
         }
         let mut body = vec![0u8; raw.body_len];
         reader.read_exact(&mut body)?;
-        let request_id = raw.request_id;
-        match raw.into_frame(&header, body) {
-            Ok(frame) => Ok(Some(Received::Frame(frame))),
-            Err(error) => Ok(Some(Received::Rejected { request_id, error })),
-        }
+        raw.into_frame(&header, body).map(Some)
     }
 }
 
@@ -525,7 +503,7 @@ impl Frame {
 /// A non-blocking socket delivers bytes in arbitrary fragments — half a
 /// header now, three frames at once later. The assembler buffers pushed
 /// bytes and cuts complete frames out of them, applying exactly the same
-/// validation split as [`Frame::read_from_lenient`]: recoverable rejections
+/// validation as [`Frame::read_from`]: recoverable rejections
 /// (unsupported version, unknown op code, checksum mismatch) surface as
 /// [`Received::Rejected`] with the stream still synchronized, while
 /// desynchronizing ones (bad magic, an oversized length prefix) surface as
@@ -640,76 +618,6 @@ mod tests {
             Frame::decode(&ancient.encode()),
             Err(ServeError::UnsupportedVersion { found: 2 })
         ));
-    }
-
-    #[test]
-    fn lenient_reads_survive_recoverable_rejections() {
-        // Three bad frames back to back, then a good one: the lenient reader
-        // must consume each rejected body and stay synchronized.
-        let mut buffer = Vec::new();
-        buffer.extend_from_slice(&Frame::with_version(OpCode::Ping, 1, Vec::new(), 9).encode());
-        let mut bad_crc = Frame::new(OpCode::Ping, 2, vec![7, 7]).encode();
-        let last = bad_crc.len() - 1;
-        bad_crc[last] ^= 0xFF;
-        buffer.extend_from_slice(&bad_crc);
-        // Hand-build an unknown op code with a valid checksum.
-        let mut unknown_op = Vec::new();
-        unknown_op.extend_from_slice(&MAGIC.to_le_bytes());
-        unknown_op.push(VERSION);
-        unknown_op.push(200);
-        unknown_op.extend_from_slice(&3u64.to_le_bytes());
-        unknown_op.extend_from_slice(&0u32.to_le_bytes());
-        let crc = crc32(&[&unknown_op[4..18]]);
-        unknown_op.extend_from_slice(&crc.to_le_bytes());
-        buffer.extend_from_slice(&unknown_op);
-        buffer.extend_from_slice(&Frame::new(OpCode::Ping, 4, Vec::new()).encode());
-
-        let mut cursor = std::io::Cursor::new(buffer);
-        let first = Frame::read_from_lenient(&mut cursor, DEFAULT_MAX_BODY_BYTES)
-            .unwrap()
-            .unwrap();
-        assert!(matches!(
-            first,
-            Received::Rejected {
-                request_id: 1,
-                error: ServeError::UnsupportedVersion { found: 9 },
-            }
-        ));
-        let second = Frame::read_from_lenient(&mut cursor, DEFAULT_MAX_BODY_BYTES)
-            .unwrap()
-            .unwrap();
-        assert!(matches!(
-            second,
-            Received::Rejected {
-                request_id: 2,
-                error: ServeError::ChecksumMismatch { .. },
-            }
-        ));
-        let third = Frame::read_from_lenient(&mut cursor, DEFAULT_MAX_BODY_BYTES)
-            .unwrap()
-            .unwrap();
-        assert!(matches!(
-            third,
-            Received::Rejected {
-                request_id: 3,
-                error: ServeError::UnknownOpCode { code: 200 },
-            }
-        ));
-        match Frame::read_from_lenient(&mut cursor, DEFAULT_MAX_BODY_BYTES)
-            .unwrap()
-            .unwrap()
-        {
-            Received::Frame(frame) => {
-                assert_eq!(frame.op, OpCode::Ping);
-                assert_eq!(frame.request_id, 4);
-            }
-            other => panic!("expected the good frame, got {other:?}"),
-        }
-        assert!(
-            Frame::read_from_lenient(&mut cursor, DEFAULT_MAX_BODY_BYTES)
-                .unwrap()
-                .is_none()
-        );
     }
 
     #[test]
@@ -918,28 +826,24 @@ mod tests {
     #[test]
     fn a_bad_crc_mid_stream_does_not_poison_the_next_frame() {
         // Corrupt frame, then a valid frame, in one contiguous stream: the
-        // lenient reader must reject the first and still deliver the second.
+        // reader must reject the first only after consuming its body, so
+        // the second still arrives intact.
         let mut corrupt = Frame::new(OpCode::InferRequest, 5, vec![1, 2, 3]).encode();
         corrupt[HEADER_BYTES] ^= 0x40;
         let mut buffer = corrupt;
         buffer.extend_from_slice(&Frame::new(OpCode::Ping, 6, Vec::new()).encode());
         let mut cursor = std::io::Cursor::new(buffer);
         assert!(matches!(
-            Frame::read_from_lenient(&mut cursor, DEFAULT_MAX_BODY_BYTES)
-                .unwrap()
-                .unwrap(),
-            Received::Rejected {
-                request_id: 5,
-                error: ServeError::ChecksumMismatch { .. },
-            }
+            Frame::read_from(&mut cursor, DEFAULT_MAX_BODY_BYTES),
+            Err(ServeError::ChecksumMismatch { .. })
         ));
-        match Frame::read_from_lenient(&mut cursor, DEFAULT_MAX_BODY_BYTES)
+        let next = Frame::read_from(&mut cursor, DEFAULT_MAX_BODY_BYTES)
             .unwrap()
+            .unwrap();
+        assert_eq!(next.request_id, 6);
+        assert!(Frame::read_from(&mut cursor, DEFAULT_MAX_BODY_BYTES)
             .unwrap()
-        {
-            Received::Frame(frame) => assert_eq!(frame.request_id, 6),
-            other => panic!("expected the valid frame, got {other:?}"),
-        }
+            .is_none());
     }
 
     #[test]
@@ -1030,15 +934,32 @@ mod tests {
 
     #[test]
     fn assembler_rejects_recoverably_and_stays_synchronized() {
-        // A corrupted body byte trips the checksum — a recoverable
-        // rejection; the frame after it must still parse.
-        let mut bad = Frame::new(OpCode::InferRequest, 5, vec![1, 2, 3]).encode();
-        let index = HEADER_BYTES + 1;
-        bad[index] ^= 0xFF;
-        let good = Frame::new(OpCode::Ping, 6, Vec::new());
+        // Three recoverable rejections back to back — a version from the
+        // future, a corrupted body byte, an unknown op code under a valid
+        // checksum — then a good frame that must still parse.
+        let future = Frame::with_version(OpCode::Ping, 4, Vec::new(), 9).encode();
+        let mut bad_crc = Frame::new(OpCode::InferRequest, 5, vec![1, 2, 3]).encode();
+        bad_crc[HEADER_BYTES + 1] ^= 0xFF;
+        let mut unknown_op = Vec::new();
+        unknown_op.extend_from_slice(&MAGIC.to_le_bytes());
+        unknown_op.push(VERSION);
+        unknown_op.push(200);
+        unknown_op.extend_from_slice(&6u64.to_le_bytes());
+        unknown_op.extend_from_slice(&0u32.to_le_bytes());
+        let crc = crc32(&[&unknown_op[4..18]]);
+        unknown_op.extend_from_slice(&crc.to_le_bytes());
+        let good = Frame::new(OpCode::Ping, 7, Vec::new());
         let mut assembler = FrameAssembler::new(DEFAULT_MAX_BODY_BYTES);
-        assembler.push(&bad);
-        assembler.push(&good.encode());
+        for bytes in [future, bad_crc, unknown_op, good.encode()] {
+            assembler.push(&bytes);
+        }
+        assert!(matches!(
+            assembler.next_frame().unwrap(),
+            Some(Received::Rejected {
+                request_id: 4,
+                error: ServeError::UnsupportedVersion { found: 9 },
+            })
+        ));
         assert!(matches!(
             assembler.next_frame().unwrap(),
             Some(Received::Rejected {
@@ -1048,8 +969,17 @@ mod tests {
         ));
         assert!(matches!(
             assembler.next_frame().unwrap(),
+            Some(Received::Rejected {
+                request_id: 6,
+                error: ServeError::UnknownOpCode { code: 200 },
+            })
+        ));
+        assert!(matches!(
+            assembler.next_frame().unwrap(),
             Some(Received::Frame(f)) if f == good
         ));
+        assert!(assembler.next_frame().unwrap().is_none());
+        assert_eq!(assembler.buffered(), 0);
     }
 
     #[test]

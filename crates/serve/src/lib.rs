@@ -26,11 +26,10 @@
 //!   [`ServerConfig::workers`] worker threads, each running the immutable
 //!   `Layer::infer` path; a bounded queue with adaptive micro-batching
 //!   feeds them, plus [`ServeMetrics`] (throughput, p50/p95/p99 latency,
-//!   wire bytes). [`MuxServer`] is its non-blocking multiplexed TCP
-//!   front-end — one poller thread drives every connection through a
-//!   readiness loop with per-connection pipelining, cross-connection
-//!   batching and `Overloaded` admission control — while [`TcpServer`]
-//!   keeps the classic thread-per-connection design as a baseline.
+//!   wire bytes). [`MuxServer`] is its TCP front-end — one poller thread
+//!   drives every connection through a readiness loop with per-connection
+//!   pipelining, cross-connection batching and `Overloaded` admission
+//!   control.
 //! * [`EdgeClient`] — the on-device half. Every request runs under a
 //!   [`RetryPolicy`]: optional per-request deadline budget (enforced as
 //!   socket timeouts too), reconnect-and-resend with capped exponential
@@ -112,8 +111,7 @@ pub use metrics::{PhaseStats, ResilienceCounters, ServeMetrics, SplitRequests};
 pub use mux::{MuxConfig, MuxServer};
 pub use policy::{BreakerConfig, BreakerState, ResilientClient, ResilientStats, Served, ServedVia};
 pub use server::{
-    InferenceServer, ServerConfig, SessionState, SplitRule, SplitVariant, TcpServer,
-    MAX_DEFAULT_WORKERS,
+    InferenceServer, ServerConfig, SessionState, SplitRule, SplitVariant, MAX_DEFAULT_WORKERS,
 };
 pub use transport::{LoopbackTransport, TcpTransport, Transport};
 pub use wire::{HelloRequest, SplitAssignment};

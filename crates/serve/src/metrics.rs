@@ -3,7 +3,7 @@
 //!
 //! The recorder is **sharded and lock-free**: every worker thread owns one
 //! [`WorkerShard`] of relaxed `AtomicU64` counters plus log-linear
-//! [`LogHistogram`]s (≤2% relative quantile error), and connection threads
+//! [`LogHistogram`]s (≤2% relative quantile error), and the front-ends
 //! share one extra miscellaneous shard. The request path therefore never
 //! takes a lock — recording is a handful of relaxed atomic adds — and
 //! [`MetricsRecorder::snapshot`] merges the shards into one
@@ -119,7 +119,7 @@ fn seconds_to_ns(seconds: f64) -> u64 {
 /// The sharded metric accumulator owned by the server.
 ///
 /// Holds one [`WorkerShard`] per worker thread plus a trailing
-/// miscellaneous shard for connection/protocol threads. Workers record
+/// miscellaneous shard for the front-ends. Workers record
 /// into their own shard with plain relaxed atomics — the request path
 /// takes **no lock** — and [`MetricsRecorder::snapshot`] merges all
 /// shards on demand.
@@ -162,7 +162,7 @@ impl MetricsRecorder {
         &self.shards[index.min(self.workers)]
     }
 
-    /// The shard shared by connection and protocol threads.
+    /// The shard shared by the front-ends (mux poller, in-process callers).
     pub(crate) fn misc(&self) -> &WorkerShard {
         &self.shards[self.workers]
     }

@@ -1,9 +1,8 @@
 //! Non-blocking multiplexed TCP front-end: one poller thread, many
 //! connections, zero threads per socket.
 //!
-//! [`MuxServer`] replaces the thread-per-connection [`crate::TcpServer`]
-//! design on the serving hot path. A single poller thread drives every
-//! accepted socket through a readiness loop (the crate's private
+//! [`MuxServer`] is the crate's TCP front-end. A single poller thread
+//! drives every accepted socket through a readiness loop (the crate's private
 //! `readiness` module, a `poll(2)` wrapper with a portable fallback):
 //! sockets are non-blocking,
 //! each connection owns a small state machine — an incremental
@@ -116,12 +115,8 @@ impl MuxConfig {
     }
 }
 
-/// The multiplexed TCP front-end for an [`InferenceServer`].
-///
-/// Mirrors the [`crate::TcpServer`] surface (`spawn` / `local_addr` /
-/// `stop`) so the two front-ends are drop-in interchangeable; the
-/// difference is entirely inside: one poller thread instead of one thread
-/// per connection.
+/// The multiplexed TCP front-end for an [`InferenceServer`]: one poller
+/// thread serves every connection.
 pub struct MuxServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -457,8 +452,8 @@ impl MuxLoop {
                 Ok(None) => return true,
                 Ok(Some(Received::Frame(frame))) => self.handle_frame(index, frame),
                 Ok(Some(Received::Rejected { request_id, error })) => {
-                    // Same contract as the blocking front-end: recoverable
-                    // rejections get a typed reply, the stream lives on.
+                    // Recoverable rejections get a typed reply; the stream
+                    // lives on.
                     self.server.recorder().misc().record_error();
                     let reply =
                         Frame::error_coded(request_id, ErrorCode::Protocol, &error.to_string());
@@ -541,12 +536,7 @@ impl MuxLoop {
     /// Answers one infer request with a typed `Overloaded` error and
     /// counts the shed.
     fn shed_request(&mut self, index: usize, request_id: u64) {
-        self.server.recorder().misc().record_shed();
-        let reply = Frame::error_coded(
-            request_id,
-            ErrorCode::Overloaded,
-            "request shed: queue at high water",
-        );
+        let reply = self.server.shed(request_id);
         if let Some(Some(conn)) = self.slots.get_mut(index) {
             conn.queue_frame(&reply);
         }

@@ -6,10 +6,11 @@
 //! at [`InferenceServer::start`] and only ever run through the immutable
 //! [`Layer::infer`] path, so [`ServerConfig::workers`] threads serve from
 //! the *same* head instances with no copies and no locks around the model.
-//! Requests enter through one bounded queue (backpressure: submitters block
-//! when it is full); whichever worker is idle steals the next request off
-//! the queue, drains up to [`ServerConfig::max_batch`] more that are already
-//! pending, coalesces the decoded `Z_b` tensors that share a feature shape
+//! Requests enter through one bounded queue (backpressure: a request that
+//! finds it full is shed with a typed `Overloaded` error, never blocked);
+//! whichever worker is idle steals the next request off the queue, drains
+//! up to [`ServerConfig::max_batch`] more that are already pending,
+//! coalesces the decoded `Z_b` tensors that share a feature shape
 //! into one batched forward pass per head, then splits the outputs back out
 //! per request. Under light load a request is served alone (no added
 //! latency); under bursts each head runs once per micro-batch instead of
@@ -18,7 +19,7 @@
 //! worker records into its own lock-free shard, so the request path takes
 //! no global lock at all.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -30,7 +31,7 @@ use mtlsplit_split::{Precision, TensorCodec, WirePayload};
 use mtlsplit_tensor::{Parallelism, Tensor};
 
 use crate::error::{Result, ServeError};
-use crate::frame::{ErrorCode, Frame, OpCode, Received, DEFAULT_MAX_BODY_BYTES, HELLO_VERSION};
+use crate::frame::{ErrorCode, Frame, OpCode, DEFAULT_MAX_BODY_BYTES, HELLO_VERSION};
 use crate::metrics::{MetricsRecorder, ServeMetrics, WorkerShard};
 use crate::mux::{Completion, ConnToken};
 use crate::readiness::WakeHandle;
@@ -113,7 +114,8 @@ impl SessionState {
 pub struct ServerConfig {
     /// Maximum number of pending requests coalesced into one forward pass.
     pub max_batch: usize,
-    /// Capacity of the bounded request queue; submitters block when full.
+    /// Capacity of the bounded request queue; an infer request arriving
+    /// when it is full is shed with a typed `Overloaded` error.
     pub queue_depth: usize,
     /// Maximum accepted frame body, guarding against corrupt length prefixes.
     pub max_body_bytes: usize,
@@ -136,10 +138,10 @@ pub struct ServerConfig {
     /// workers over large heads. Kernel results are bit-identical whatever
     /// the value.
     pub parallelism: Parallelism,
-    /// How long a connection thread waits for the next byte from its client
-    /// before evicting it (typed `Error { code: Evicted }` frame, then
-    /// sever). `None` waits forever — one stalled peer then pins its
-    /// connection thread for good, so the default keeps a 30 s bound.
+    /// How long the mux keeps an idle connection that sends nothing before
+    /// evicting it (typed `Error { code: Evicted }` frame, then sever).
+    /// `None` waits forever — one stalled peer then holds its connection
+    /// slot for good, so the default keeps a 30 s bound.
     pub client_read_timeout: Option<Duration>,
 }
 
@@ -202,8 +204,8 @@ type ShapeGroup = (u8, Vec<usize>, Vec<(Request, Tensor)>);
 
 /// Where a served request's outcome goes once a worker has it.
 pub(crate) enum Responder {
-    /// A blocked in-process caller ([`InferenceServer::infer_on`]) waiting
-    /// on a rendezvous channel.
+    /// An in-process caller ([`InferenceServer::process_on`]) waiting on a
+    /// rendezvous channel for its admitted request.
     Channel(Sender<std::result::Result<Vec<WirePayload>, String>>),
     /// A connection owned by the non-blocking mux: the worker encodes the
     /// response frame itself and hands the wire bytes back to the poller
@@ -267,10 +269,13 @@ struct Request {
 /// The server half of an MTL-Split deployment: frozen task heads plus the
 /// worker pool that drives them.
 ///
-/// The server is transport-agnostic: [`InferenceServer::process`] maps one
-/// request [`Frame`] to one response [`Frame`], and both the TCP listener and
-/// the in-process loopback transport call exactly that method — so a
-/// simulated deployment and a socket deployment execute identical code.
+/// The server is transport-agnostic: [`InferenceServer::process_on`] maps
+/// one request [`Frame`] to one response [`Frame`]. The in-process
+/// [`crate::LoopbackTransport`] calls it for every frame and the
+/// [`crate::MuxServer`] for every frame but infer requests, which it submits
+/// without waiting. Both admit infer work through the same non-blocking
+/// submit under the same shed rule, so a simulated deployment and a socket
+/// deployment queue, batch and shed identically.
 pub struct InferenceServer {
     tx: Mutex<Option<SyncSender<Request>>>,
     /// Requests submitted but not yet drained by a worker — the queue
@@ -358,7 +363,7 @@ impl InferenceServer {
         let heads = Arc::new(heads);
         let variants = Arc::new(variants);
         // One lock-free metric shard per worker plus the misc shard for
-        // connection threads; the pool size is fixed at construction. Each
+        // the front-ends; the pool size is fixed at construction. Each
         // shard carries one request counter per split variant.
         let split_labels: Vec<(u8, String)> = variants
             .iter()
@@ -460,58 +465,6 @@ impl InferenceServer {
         self.metrics.snapshot()
     }
 
-    /// Submits one decoded payload and blocks until a worker responds.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ServerUnavailable`] if the server has shut down,
-    /// [`ServeError::Remote`] if the heads rejected the payload.
-    pub fn infer(&self, payload: WirePayload) -> Result<Vec<WirePayload>> {
-        self.infer_on(payload, 0)
-    }
-
-    /// Submits one decoded payload for a specific split variant and blocks
-    /// until a worker responds. Variant 0 is the default split.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Malformed`] if `variant` names no served split, plus
-    /// everything [`InferenceServer::infer`] can return.
-    pub fn infer_on(&self, payload: WirePayload, variant: u8) -> Result<Vec<WirePayload>> {
-        if variant as usize >= self.variant_count() {
-            return Err(ServeError::Malformed {
-                what: format!(
-                    "split variant {variant} out of range (serving {})",
-                    self.variant_count()
-                ),
-            });
-        }
-        let sender = {
-            let guard = self.tx.lock().expect("queue lock");
-            guard.clone().ok_or(ServeError::ServerUnavailable)?
-        };
-        let (rtx, rrx) = mpsc::channel();
-        let request = Request {
-            payload,
-            variant,
-            enqueued: Instant::now(),
-            responder: Responder::Channel(rtx),
-        };
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        sender.send(request).map_err(|_| {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
-            ServeError::ServerUnavailable
-        })?;
-        match rrx.recv() {
-            Ok(Ok(outputs)) => Ok(outputs),
-            Ok(Err(message)) => Err(ServeError::Remote {
-                code: ErrorCode::App,
-                message,
-            }),
-            Err(_) => Err(ServeError::ServerUnavailable),
-        }
-    }
-
     /// Maps one request frame to one response frame under a default
     /// (un-negotiated) session — the classic stateless entry point, serving
     /// every infer request at the default split.
@@ -527,6 +480,11 @@ impl InferenceServer {
     /// frames carrying a message, mirroring what a remote client would see.
     /// A `Hello` frame renegotiates `session`'s split variant; subsequent
     /// infer requests on the session are decoded at that depth.
+    ///
+    /// An infer request is admitted under the same rule the mux applies: a
+    /// full queue answers a typed [`ErrorCode::Overloaded`] frame at once,
+    /// counted in [`ServeMetrics::shed`]. An admitted request waits for its
+    /// worker's answer.
     pub fn process_on(&self, frame: &Frame, session: &mut SessionState) -> Frame {
         match frame.op {
             OpCode::Ping => Frame::new(OpCode::Pong, frame.request_id, Vec::new()),
@@ -580,31 +538,48 @@ impl InferenceServer {
                 return Frame::error_coded(frame.request_id, ErrorCode::Protocol, &err.to_string());
             }
         };
-        match self.infer_on(payload, variant) {
-            Ok(outputs) => Frame::new(
+        let (tx, rx) = mpsc::channel();
+        if let Err(ServeError::QueueFull) =
+            self.try_submit(payload, variant, Responder::Channel(tx))
+        {
+            return self.shed(frame.request_id);
+        }
+        // A refused submit drops the responder, so `recv` fails at once.
+        match rx.recv() {
+            Ok(Ok(outputs)) => Frame::new(
                 OpCode::InferResponse,
                 frame.request_id,
                 encode_response(&outputs),
             ),
-            Err(err) => {
-                let code = match err {
-                    ServeError::ServerUnavailable => ErrorCode::ShuttingDown,
-                    ServeError::QueueFull => ErrorCode::Overloaded,
-                    _ => ErrorCode::App,
-                };
-                Frame::error_coded(frame.request_id, code, &err.to_string())
-            }
+            Ok(Err(message)) => Frame::error_coded(frame.request_id, ErrorCode::App, &message),
+            Err(_) => Frame::error_coded(
+                frame.request_id,
+                ErrorCode::ShuttingDown,
+                "server shutting down",
+            ),
         }
     }
 
+    /// Counts one shed infer request and builds its typed `Overloaded`
+    /// reply — the answer every front-end gives work the queue cannot take.
+    pub(crate) fn shed(&self, request_id: u64) -> Frame {
+        self.metrics.misc().record_shed();
+        Frame::error_coded(
+            request_id,
+            ErrorCode::Overloaded,
+            "request shed: queue at high water",
+        )
+    }
+
     /// Submits one request without ever blocking: a full queue comes back
-    /// as [`ServeError::QueueFull`] immediately. This is the mux
-    /// front-end's enqueue path — its poller thread must never sleep on
-    /// the workers' backpressure.
+    /// as [`ServeError::QueueFull`] immediately. This is the only way work
+    /// enters the queue — the mux's poller must never sleep on the
+    /// workers' backpressure, and [`InferenceServer::process_on`] sheds
+    /// under the same rule.
     ///
-    /// The sender is cloned out of the mutex per call (exactly like
-    /// [`InferenceServer::infer_on`]) so no long-lived clone can keep the
-    /// worker pool alive past [`InferenceServer::shutdown`].
+    /// The sender is cloned out of the mutex per call so no long-lived
+    /// clone can keep the worker pool alive past
+    /// [`InferenceServer::shutdown`].
     ///
     /// # Errors
     ///
@@ -913,209 +888,13 @@ fn serve_group(
     }
 }
 
-/// A background TCP front-end for an [`InferenceServer`].
-///
-/// Each accepted connection gets its own thread that reads frames, calls
-/// [`InferenceServer::process`] and writes the responses back — a classic
-/// thread-per-connection design that needs no async runtime.
-pub struct TcpServer {
-    local_addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<Connection>>>,
-}
-
-/// A live connection: its worker thread plus a stream handle that `halt`
-/// can shut down to unblock the thread's read.
-struct Connection {
-    thread: JoinHandle<()>,
-    stream: Option<std::net::TcpStream>,
-}
-
-impl std::fmt::Debug for TcpServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpServer")
-            .field("local_addr", &self.local_addr)
-            .finish()
-    }
-}
-
-impl TcpServer {
-    /// Serves `server` on `listener` until [`TcpServer::stop`] is called.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the listener's local address cannot be read.
-    pub fn spawn(server: Arc<InferenceServer>, listener: std::net::TcpListener) -> Result<Self> {
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(Mutex::new(Vec::new()));
-        let accept_stop = Arc::clone(&stop);
-        let accept_connections = Arc::clone(&connections);
-        let accept_thread = std::thread::Builder::new()
-            .name("mtlsplit-serve-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let conn_server = Arc::clone(&server);
-                    let conn_stop = Arc::clone(&accept_stop);
-                    let shutdown_handle = stream.try_clone().ok();
-                    let thread = std::thread::Builder::new()
-                        .name("mtlsplit-serve-conn".to_string())
-                        .spawn(move || serve_connection(stream, conn_server, conn_stop))
-                        .expect("spawn connection thread");
-                    let mut guard = accept_connections.lock().expect("conn lock");
-                    // Reap finished connections so a long-lived server does
-                    // not accumulate one JoinHandle per past client.
-                    guard.retain(|c: &Connection| !c.thread.is_finished());
-                    guard.push(Connection {
-                        thread,
-                        stream: shutdown_handle,
-                    });
-                }
-            })
-            .expect("spawn accept thread");
-        Ok(Self {
-            local_addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            connections,
-        })
-    }
-
-    /// The address the server is listening on (useful with port 0).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
-    }
-
-    /// Stops accepting connections, says goodbye to any connections still
-    /// open and joins every connection thread. Clients mid-conversation
-    /// receive a typed `Error { code: ShuttingDown }` frame before the
-    /// socket closes, so an in-flight read observes a clean protocol-level
-    /// goodbye rather than an abrupt reset.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = std::net::TcpStream::connect(self.local_addr);
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
-        let connections: Vec<Connection> =
-            std::mem::take(&mut *self.connections.lock().expect("conn lock"));
-        for connection in &connections {
-            // Close only the read half: the connection thread's blocked read
-            // returns EOF, sees the stop flag, and writes the goodbye frame
-            // over the still-open write half before severing.
-            if let Some(stream) = &connection.stream {
-                let _ = stream.shutdown(std::net::Shutdown::Read);
-            }
-        }
-        for connection in connections {
-            let _ = connection.thread.join();
-            if let Some(stream) = &connection.stream {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.halt();
-        }
-    }
-}
-
-/// Frame loop for one accepted connection.
-///
-/// Each connection carries its own [`SessionState`]: a `Hello` renegotiates
-/// the split the rest of the conversation is served at. Recoverable protocol
-/// problems — an unsupported version, a corrupt checksum, an unknown op
-/// code — are answered with a typed [`OpCode::Error`] frame and the loop
-/// keeps reading; only unframeable garbage (bad magic, oversized length) or
-/// a dead socket end the connection. The server itself keeps running either
-/// way.
-///
-/// Two exits are announced with typed goodbye frames (request id 0): a
-/// client silent longer than [`ServerConfig::client_read_timeout`] receives
-/// `Error { code: Evicted }`, and connections open when the server stops
-/// receive `Error { code: ShuttingDown }` before the socket closes.
-fn serve_connection(
-    stream: std::net::TcpStream,
-    server: Arc<InferenceServer>,
-    stop: Arc<AtomicBool>,
-) {
-    let max_body = server.config().max_body_bytes;
-    let _ = stream.set_read_timeout(server.config().client_read_timeout);
-    let mut reader = std::io::BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut writer = std::io::BufWriter::new(stream);
-    let mut session = SessionState::default();
-    let mut goodbye: Option<Frame> = None;
-    loop {
-        let response = match Frame::read_from_lenient(&mut reader, max_body) {
-            Ok(Some(Received::Frame(frame))) => server.process_on(&frame, &mut session),
-            Ok(Some(Received::Rejected { request_id, error })) => {
-                server.metrics.misc().record_error();
-                Frame::error_coded(request_id, ErrorCode::Protocol, &error.to_string())
-            }
-            Err(ServeError::Io(err))
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) && !stop.load(Ordering::SeqCst) =>
-            {
-                // The client stalled past the read timeout: evict it so it
-                // cannot pin this thread, but say why before severing.
-                server.metrics.misc().record_eviction();
-                goodbye = Some(Frame::error_coded(
-                    0,
-                    ErrorCode::Evicted,
-                    "evicted: no frame within the server's read timeout",
-                ));
-                break;
-            }
-            Ok(None) | Err(_) => break,
-        };
-        if response.write_to(&mut writer).is_err() {
-            break;
-        }
-    }
-    if goodbye.is_none() && stop.load(Ordering::SeqCst) {
-        goodbye = Some(Frame::error_coded(
-            0,
-            ErrorCode::ShuttingDown,
-            "server shutting down",
-        ));
-    }
-    if let Some(frame) = goodbye {
-        // Best effort: the write half is still open when `halt` closed only
-        // the read half, so a blocked client sees a typed goodbye instead of
-        // a reset. A fully dead socket just fails silently here.
-        let _ = frame.write_to(&mut writer);
-    }
-    // Sever the socket explicitly: the accept loop retains a clone of this
-    // stream (for forced shutdown on `TcpServer::stop`), so dropping our
-    // handles alone would leave the peer half-open until the next reap.
-    let _ = writer.get_ref().shutdown(std::net::Shutdown::Both);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_split_assignment, encode_hello, HelloRequest};
-    use mtlsplit_nn::{Linear, Relu, Sequential};
+    use crate::wire::{decode_response, decode_split_assignment, encode_hello, HelloRequest};
+    use mtlsplit_nn::{Linear, Parameter, Relu, RunMode, Sequential};
     use mtlsplit_tensor::StdRng;
+    use std::sync::Condvar;
 
     fn head(features: usize, classes: usize, rng: &mut StdRng) -> Box<dyn Layer> {
         Box::new(Sequential::new().push(Linear::new(features, classes, rng)))
@@ -1123,6 +902,28 @@ mod tests {
 
     fn payload(rows: usize, features: usize, rng: &mut StdRng) -> WirePayload {
         TensorCodec::default().encode(&Tensor::randn(&[rows, features], 0.0, 1.0, rng))
+    }
+
+    /// Serves `payload` on `session` through the public frame entry point:
+    /// the outputs, or the typed code of the error frame that came back.
+    fn serve_on(
+        server: &InferenceServer,
+        session: &mut SessionState,
+        payload: &WirePayload,
+    ) -> std::result::Result<Vec<WirePayload>, ErrorCode> {
+        let request = Frame::new(OpCode::InferRequest, 1, payload.encode());
+        let response = server.process_on(&request, session);
+        match response.op {
+            OpCode::InferResponse => Ok(decode_response(&response.body).expect("response body")),
+            _ => Err(response.error_info().0),
+        }
+    }
+
+    fn serve(
+        server: &InferenceServer,
+        payload: &WirePayload,
+    ) -> std::result::Result<Vec<WirePayload>, ErrorCode> {
+        serve_on(server, &mut SessionState::default(), payload)
     }
 
     #[test]
@@ -1133,7 +934,8 @@ mod tests {
             ServerConfig::default(),
         );
         assert_eq!(server.head_count(), 2);
-        let outputs = server.infer(payload(2, 16, &mut rng)).unwrap();
+        assert_eq!(server.variant_count(), 1);
+        let outputs = serve(&server, &payload(2, 16, &mut rng)).unwrap();
         assert_eq!(outputs.len(), 2);
         assert_eq!(outputs[0].dims, vec![2, 4]);
         assert_eq!(outputs[1].dims, vec![2, 3]);
@@ -1158,7 +960,7 @@ mod tests {
         // The server head was built from the same seed, so weights agree.
         for input in &inputs {
             let direct = reference.infer(input).unwrap();
-            let outputs = server.infer(codec.encode(input)).unwrap();
+            let outputs = serve(&server, &codec.encode(input)).unwrap();
             let served = codec.decode(&outputs[0]).unwrap();
             assert!(served.allclose(&direct, 1e-6));
         }
@@ -1181,7 +983,7 @@ mod tests {
                     let codec = TensorCodec::default();
                     for _ in 0..8 {
                         let z = Tensor::randn(&[1, 8], 0.0, 1.0, &mut rng);
-                        let outputs = server.infer(codec.encode(&z)).unwrap();
+                        let outputs = serve(&server, &codec.encode(&z)).unwrap();
                         assert_eq!(outputs[0].dims, vec![1, 2]);
                     }
                 })
@@ -1222,7 +1024,7 @@ mod tests {
                     let mut cases = Vec::new();
                     for _ in 0..16 {
                         let z = Tensor::randn(&[1, 8], 0.0, 1.0, &mut rng);
-                        let outputs = server.infer(codec.encode(&z)).unwrap();
+                        let outputs = serve(&server, &codec.encode(&z)).unwrap();
                         cases.push((z, codec.decode(&outputs[0]).unwrap()));
                     }
                     cases
@@ -1249,10 +1051,10 @@ mod tests {
             vec![head(8, 2, &mut rng)],
             ServerConfig::default().with_max_batch(8),
         ));
-        let good = server.infer(payload(1, 8, &mut rng));
-        let bad = server.infer(payload(1, 7, &mut rng));
+        let good = serve(&server, &payload(1, 8, &mut rng));
+        let bad = serve(&server, &payload(1, 7, &mut rng));
         assert!(good.is_ok());
-        assert!(matches!(bad, Err(ServeError::Remote { .. })));
+        assert_eq!(bad, Err(ErrorCode::App));
         assert_eq!(server.metrics().errors, 1);
     }
 
@@ -1288,7 +1090,7 @@ mod tests {
             vec![head(4, 2, &mut rng)],
             ServerConfig::default().with_workers(3),
         );
-        let _ = server.infer(payload(1, 4, &mut rng)).unwrap();
+        serve(&server, &payload(1, 4, &mut rng)).unwrap();
         let metrics = server.metrics();
         assert_eq!(metrics.workers, 3);
         assert!(metrics.summary().contains("on 3 workers"));
@@ -1331,20 +1133,20 @@ mod tests {
     #[test]
     fn tail_variants_match_the_monolithic_forward_bitwise() {
         let (full, edge, reference_head, server) = split_server(31);
+        assert_eq!(server.variant_count(), 2);
         let mut rng = StdRng::seed_from(99);
         let codec = TensorCodec::default();
         for _ in 0..4 {
             let x = Tensor::randn(&[2, 8], 0.0, 1.0, &mut rng);
             let expected = reference_head.infer(&full.infer(&x).unwrap()).unwrap();
             // Variant 0: the client ran the whole backbone.
-            let deep = server
-                .infer_on(codec.encode(&full.infer(&x).unwrap()), 0)
-                .unwrap();
+            let deep = serve(&server, &codec.encode(&full.infer(&x).unwrap())).unwrap();
             assert_eq!(codec.decode(&deep[0]).unwrap(), expected);
             // Variant 1: the client stopped after the stem; the server's
             // tail must complete the backbone to the same bits.
             let z = edge.infer(&x).unwrap();
-            let shallow = server.infer_on(codec.encode(&z), 1).unwrap();
+            let mut stem = SessionState { variant: 1 };
+            let shallow = serve_on(&server, &mut stem, &codec.encode(&z)).unwrap();
             assert_eq!(codec.decode(&shallow[0]).unwrap(), expected);
         }
         let per_split = server.metrics().per_split;
@@ -1411,15 +1213,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_variants_are_rejected_not_served() {
-        let mut rng = StdRng::seed_from(34);
-        let server = InferenceServer::start(vec![head(4, 2, &mut rng)], ServerConfig::default());
-        assert_eq!(server.variant_count(), 1);
-        let err = server.infer_on(payload(1, 4, &mut rng), 7).unwrap_err();
-        assert!(matches!(err, ServeError::Malformed { .. }));
-    }
-
-    #[test]
     fn shutdown_rejects_further_requests() {
         let mut rng = StdRng::seed_from(6);
         let server = InferenceServer::start(
@@ -1427,11 +1220,123 @@ mod tests {
             ServerConfig::default().with_workers(2),
         );
         server.shutdown();
-        assert!(matches!(
-            server.infer(payload(1, 4, &mut rng)),
-            Err(ServeError::ServerUnavailable)
-        ));
+        assert_eq!(
+            serve(&server, &payload(1, 4, &mut rng)),
+            Err(ErrorCode::ShuttingDown)
+        );
         let response = server.process(&Frame::new(OpCode::InferRequest, 1, Vec::new()));
         assert_eq!(response.op, OpCode::Error);
+    }
+
+    /// Releases every [`GatedHead`] sharing it at once.
+    #[derive(Default)]
+    struct Gate {
+        /// `infer` calls that reached the gate.
+        entered: AtomicUsize,
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Gate {
+        fn release(&self) {
+            *self.open.lock().expect("gate lock") = true;
+            self.opened.notify_all();
+        }
+    }
+
+    /// A head that holds its worker inside `infer` until the test opens the
+    /// gate, then answers exactly like the head it wraps.
+    struct GatedHead {
+        inner: Sequential,
+        gate: Arc<Gate>,
+    }
+
+    impl Layer for GatedHead {
+        fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> mtlsplit_nn::Result<Tensor> {
+            self.inner.forward(input, mode)
+        }
+
+        fn infer(&self, input: &Tensor) -> mtlsplit_nn::Result<Tensor> {
+            self.gate.entered.fetch_add(1, Ordering::SeqCst);
+            let mut open = self.gate.open.lock().expect("gate lock");
+            while !*open {
+                open = self.gate.opened.wait(open).expect("gate lock");
+            }
+            drop(open);
+            self.inner.infer(input)
+        }
+
+        fn backward(&mut self, grad_output: &Tensor) -> mtlsplit_nn::Result<Tensor> {
+            self.inner.backward(grad_output)
+        }
+
+        fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
+            self.inner.parameters_mut()
+        }
+
+        fn parameters(&self) -> Vec<&Parameter> {
+            self.inner.parameters()
+        }
+
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+    }
+
+    #[test]
+    fn a_full_queue_sheds_in_process_requests_and_drops_no_admitted_work() {
+        let reference = Sequential::new().push(Linear::new(8, 3, &mut StdRng::seed_from(35)));
+        let gate = Arc::new(Gate::default());
+        let gated = GatedHead {
+            inner: Sequential::new().push(Linear::new(8, 3, &mut StdRng::seed_from(35))),
+            gate: Arc::clone(&gate),
+        };
+        let server = Arc::new(InferenceServer::start(
+            vec![Box::new(gated)],
+            ServerConfig {
+                queue_depth: 1,
+                ..ServerConfig::default().with_workers(1)
+            },
+        ));
+        let mut rng = StdRng::seed_from(36);
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::randn(&[1, 8], 0.0, 1.0, &mut rng))
+            .collect();
+        let request = |id: u64, x: &Tensor| {
+            Frame::new(
+                OpCode::InferRequest,
+                id,
+                TensorCodec::default().encode(x).encode(),
+            )
+        };
+        let submit = |id: u64, x: &Tensor| {
+            let server = Arc::clone(&server);
+            let frame = request(id, x);
+            std::thread::spawn(move || server.process(&frame))
+        };
+        // A occupies the only worker; B then fills the one queue slot.
+        let a = submit(1, &inputs[0]);
+        while gate.entered.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let b = submit(2, &inputs[1]);
+        while server.pending_depth() != 1 {
+            std::thread::yield_now();
+        }
+        let shed = server.process(&request(3, &inputs[2]));
+        assert_eq!(shed.op, OpCode::Error);
+        assert_eq!(shed.request_id, 3);
+        assert_eq!(shed.error_info().0, ErrorCode::Overloaded);
+        assert_eq!(server.metrics().shed, 1);
+        // Admitted work is never dropped: both answers equal the reference.
+        gate.release();
+        for (handle, x) in [a, b].into_iter().zip(&inputs) {
+            let response = handle.join().expect("client thread");
+            assert_eq!(response.op, OpCode::InferResponse);
+            let outputs = decode_response(&response.body).unwrap();
+            let served = TensorCodec::default().decode(&outputs[0]).unwrap();
+            assert_eq!(served, reference.infer(x).unwrap());
+        }
+        assert_eq!(server.metrics().requests, 2);
     }
 }

@@ -3,7 +3,7 @@
 //! [`Transport`] is the tiny synchronous contract the [`crate::EdgeClient`]
 //! speaks: send one frame, get one frame back. Two implementations ship:
 //!
-//! * [`TcpTransport`] — a real socket to a [`crate::TcpServer`], for actual
+//! * [`TcpTransport`] — a real socket to a [`crate::MuxServer`], for actual
 //!   deployments and the `serve_demo` example.
 //! * [`LoopbackTransport`] — an in-process call into an
 //!   [`InferenceServer`], optionally accounting a [`ChannelModel`]'s
@@ -174,8 +174,9 @@ impl Transport for TcpTransport {
 /// A deterministic in-process [`Transport`] that still pays for its bytes.
 ///
 /// Every request encodes the frame exactly as TCP would, hands it to the
-/// server's shared [`InferenceServer::process`] entry point, and charges the
-/// configured [`ChannelModel`] for the encoded request and response sizes.
+/// server's shared [`InferenceServer::process_on`] entry point, and charges
+/// the configured [`ChannelModel`] for the encoded request and response
+/// sizes.
 /// The accumulated simulated transfer time is available from
 /// [`LoopbackTransport::simulated_seconds`] — wall clocks never enter the
 /// picture, so results are bit-for-bit reproducible.

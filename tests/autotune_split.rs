@@ -19,8 +19,8 @@ use mtlsplit_core::{deploy, MtlSplitModel};
 use mtlsplit_data::TaskSpec;
 use mtlsplit_models::BackboneKind;
 use mtlsplit_serve::{
-    EdgeClient, Frame, InferenceServer, LoopbackTransport, OpCode, ServerConfig, SplitRule,
-    SplitVariant, TcpServer, TcpTransport, HEADER_BYTES, VERSION,
+    EdgeClient, Frame, InferenceServer, LoopbackTransport, MuxServer, OpCode, ServerConfig,
+    SplitRule, SplitVariant, TcpTransport, HEADER_BYTES, VERSION,
 };
 use mtlsplit_split::{ChannelModel, Precision, SplitPipeline, TensorCodec};
 use mtlsplit_tensor::{Parallelism, StdRng, Tensor};
@@ -60,7 +60,6 @@ fn every_stage_splits_bitwise_identical_piped_and_served() {
         .iter()
         .map(|x| monolithic.infer_forward(x).expect("monolithic forward").1)
         .collect();
-    let codec = TensorCodec::default();
     let pipeline = SplitPipeline::with_precision(ChannelModel::gigabit(), Precision::Float32);
 
     for threads in [1usize, 2, 4] {
@@ -102,15 +101,15 @@ fn every_stage_splits_bitwise_identical_piped_and_served() {
                     .with_workers(2)
                     .with_parallelism(Parallelism::fixed(threads)),
             );
+            let mut client = EdgeClient::new(
+                edge_layer,
+                TensorCodec::default(),
+                Box::new(LoopbackTransport::new(Arc::new(server))),
+            );
             for (x, reference) in inputs.iter().zip(&references) {
-                let z = edge_layer.infer(x).expect("edge forward");
-                let outputs = server.infer(codec.encode(&z)).expect("served request");
-                let decoded: Vec<Tensor> = outputs
-                    .iter()
-                    .map(|p| codec.decode(p).expect("decode output"))
-                    .collect();
+                let outputs = client.infer(x).expect("served request");
                 assert_eq!(
-                    &decoded, reference,
+                    &outputs, reference,
                     "served split after {label} diverged at {threads} threads"
                 );
             }
@@ -191,8 +190,8 @@ fn negotiated_split_is_bitwise_monolithic_over_loopback() {
 fn negotiated_split_is_bitwise_monolithic_over_tcp() {
     let server = negotiating_server();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let tcp = TcpServer::spawn(Arc::clone(&server), listener).expect("spawn tcp front-end");
-    let addr = tcp.local_addr();
+    let mux = MuxServer::spawn(Arc::clone(&server), listener).expect("spawn mux front-end");
+    let addr = mux.local_addr();
     let (edge, _) = deploy::split_for_serving(fixture_model());
     let client = EdgeClient::new(
         edge.into_layer(),
@@ -200,7 +199,7 @@ fn negotiated_split_is_bitwise_monolithic_over_tcp() {
         Box::new(TcpTransport::connect(addr).expect("connect")),
     );
     assert_negotiated_bitwise(client);
-    tcp.stop();
+    mux.stop();
 }
 
 /// Table-driven IEEE CRC-32 (reflected polynomial `0xEDB88320`), implemented
@@ -263,8 +262,8 @@ fn read_raw_frame(stream: &mut TcpStream) -> (u8, u64, Vec<u8>) {
 fn protocol_probes_get_typed_errors_and_the_connection_survives() {
     let server = negotiating_server();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let tcp = TcpServer::spawn(Arc::clone(&server), listener).expect("spawn tcp front-end");
-    let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+    let mux = MuxServer::spawn(Arc::clone(&server), listener).expect("spawn mux front-end");
+    let mut stream = TcpStream::connect(mux.local_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 
     // Probe 1: a version from the future.
@@ -321,7 +320,7 @@ fn protocol_probes_get_typed_errors_and_the_connection_survives() {
     assert_eq!(id, 15);
 
     drop(stream);
-    tcp.stop();
+    mux.stop();
 }
 
 /// The glue the tentpole promises: an autotuner deployment plan feeds the

@@ -10,7 +10,7 @@ use mtlsplit_core::{deploy, MtlSplitModel};
 use mtlsplit_data::TaskSpec;
 use mtlsplit_models::analysis::{analyze_backbone_at, raw_input_bytes};
 use mtlsplit_models::{Backbone, BackboneConfig, BackboneKind};
-use mtlsplit_serve::{InferenceServer, ServerConfig};
+use mtlsplit_serve::{EdgeClient, InferenceServer, LoopbackTransport, ServerConfig};
 use mtlsplit_split::{ChannelModel, DeploymentParadigm, EdgeDevice, TensorCodec, WorkloadProfile};
 use mtlsplit_tensor::{StdRng, Tensor};
 
@@ -128,16 +128,16 @@ fn multi_worker_server_is_bit_identical_to_single_worker_and_monolithic() {
 
     // Two servers over identically-built split halves: one worker vs four.
     let serve_all = |workers: usize| -> Vec<Vec<Tensor>> {
-        let (edge, server_half) = deploy::split_for_serving(fixture_model());
-        let backbone = edge.into_layer();
+        let (_, server_half) = deploy::split_for_serving(fixture_model());
         let server = Arc::new(InferenceServer::start(
             server_half.into_layers(),
             ServerConfig::default()
                 .with_max_batch(8)
                 .with_workers(workers),
         ));
-        // Drive from several threads so the worker pool actually interleaves
-        // and micro-batching can coalesce unrelated requests.
+        // Drive from several edge clients on their own threads so the worker
+        // pool actually interleaves and micro-batching can coalesce
+        // unrelated requests.
         let chunk = inputs.len() / 4;
         let mut answers: Vec<Option<Vec<Tensor>>> = vec![None; inputs.len()];
         std::thread::scope(|scope| {
@@ -147,22 +147,18 @@ fn multi_worker_server_is_bit_identical_to_single_worker_and_monolithic() {
                 .enumerate()
                 .map(|(i, s)| (i * chunk, s))
             {
-                let server = Arc::clone(&server);
-                let backbone = &backbone;
+                let (edge, _) = deploy::split_for_serving(fixture_model());
+                let mut client = EdgeClient::new(
+                    edge.into_layer(),
+                    codec,
+                    Box::new(LoopbackTransport::new(Arc::clone(&server))),
+                );
                 pending.push((
                     start,
                     scope.spawn(move || {
                         slice
                             .iter()
-                            .map(|x| {
-                                let z = backbone.infer(x).expect("edge forward");
-                                let outputs =
-                                    server.infer(codec.encode(&z)).expect("served request");
-                                outputs
-                                    .iter()
-                                    .map(|p| codec.decode(p).expect("decode output"))
-                                    .collect::<Vec<Tensor>>()
-                            })
+                            .map(|x| client.infer(x).expect("served request"))
                             .collect::<Vec<Vec<Tensor>>>()
                     }),
                 ));
