@@ -1,9 +1,9 @@
 //! Convolutional layers: dense, depthwise and pointwise (1×1) convolutions.
 //!
 //! All three route through `mtlsplit_tensor::conv2d` / `conv2d_backward`,
-//! which lower every case — grouped and depthwise included — onto the
-//! packed blocked GEMM, so layer outputs are bit-identical for every
-//! `Parallelism` thread count.
+//! which lower dense and grouped cases onto the packed blocked GEMM and run
+//! depthwise ones through direct tap kernels, so layer outputs are
+//! bit-identical for every `Parallelism` thread count.
 
 use mtlsplit_tensor::{
     conv2d, conv2d_backward, conv2d_backward_into, conv2d_backward_params_into, conv2d_cols_len,

@@ -485,7 +485,7 @@ mod tests {
         use crate::{HardSwish, InferPlan};
         // conv → BN → hard-swish (the MobileNet motif) collapses into one
         // fused write-back on the planned path, for both the dense GEMM
-        // and the depthwise (single-row GEMV) kernels; outputs must still
+        // and the direct depthwise kernels; outputs must still
         // match `infer` bit-for-bit. Train-mode forwards first so the
         // running statistics are non-trivial.
         let mut rng = StdRng::seed_from(41);

@@ -62,10 +62,13 @@ impl MaxGauge {
 }
 
 /// Multiply-accumulate work done by all GEMM kernels, counted as
-/// `2 * m * n * k` FLOPs per call.
+/// `2 * m * n * k` FLOPs per call. Convolutions count their lowered
+/// GEMM's FLOPs in both directions even where a direct kernel does the
+/// work instead (depthwise), so the total tracks the model, not the route.
 pub static GEMM_FLOPS: Counter = Counter::new();
 
-/// Number of GEMM kernel invocations.
+/// Number of GEMM kernel invocations. Direct depthwise convolution
+/// kernels, forward and backward, are not GEMM calls and are not counted.
 pub static GEMM_CALLS: Counter = Counter::new();
 
 /// Bytes materialised into im2col column buffers by the convolution

@@ -1,20 +1,23 @@
 //! 2-D convolution kernels (forward and backward) in NCHW layout.
 //!
-//! Every convolution in this crate — dense, grouped and depthwise, forward
-//! *and* backward — is one lowering away from the packed blocked GEMM in
-//! [`crate::kernels`]:
+//! Every dense and grouped convolution in this crate, forward *and*
+//! backward, is one lowering away from the packed blocked GEMM in
+//! [`crate::kernels`]; depthwise convolutions run direct kernels instead:
 //!
 //! * **Forward**: per `(batch, group)` unit the input window is unfolded
 //!   channel-major into a `[cin/g * k * k, out_h * out_w]` column matrix
 //!   and multiplied by the group's `[cout/g, cin/g * k * k]` weight matrix,
 //!   writing straight into the contiguous NCHW output slice (the bias — and
 //!   an optionally fused batch-norm and activation — ride in the GEMM's
-//!   [`Epilogue`]). Depthwise convolutions (`cin_g == 1`) land on the
-//!   GEMM's single-row GEMV path, which skips panel packing entirely — the
-//!   fix for the old depthwise slow path, where packing cost dwarfed the
-//!   `K = k * k` arithmetic. The im2col scratch is thread-local and reused
-//!   across calls — the forward hot path allocates nothing beyond its
-//!   output, and [`conv2d_fused`] not even that.
+//!   [`Epilogue`]). Depthwise convolutions (one input and one output
+//!   channel per group) skip the unfold: each `(batch, channel)` plane is
+//!   copied once, zero-padded and split into `stride * stride` phase
+//!   planes, and every tap becomes one contiguous FMA sweep over the
+//!   output plane (see `DepthwiseSweep`). Each output keeps the chain the
+//!   lowered GEMV ran — bias head, taps in ascending `(ky, kx)`, norm,
+//!   activation — so the results are bitwise unchanged. The scratch is
+//!   thread-local and reused across calls — the forward hot path allocates
+//!   nothing beyond its output, and [`conv2d_fused`] not even that.
 //! * **Backward**: `grad_input` is `Wᵀ x grad_out` folded back through the
 //!   adjoint of the unfold (col2im), and `grad_weight` is
 //!   `grad_out x colsᵀ` with the batch dimension concatenated into the
@@ -29,7 +32,8 @@
 
 use crate::error::{Result, TensorError};
 use crate::kernels::{
-    sgemm_epilogue_quiet, sgemm_quiet, Bias, BiasAxis, ChannelNorm, Epilogue, GradMask,
+    fma_step, sgemm_epilogue_quiet, sgemm_quiet, Bias, BiasAxis, ChannelNorm, Epilogue, GradMask,
+    NormParams, FUSED_MULTIPLY_ADD,
 };
 use crate::parallel::{for_each_unit, for_each_unit_pair, threads_for_macs, Parallelism};
 use crate::tensor::Tensor;
@@ -68,8 +72,9 @@ impl<'a> ConvFusion<'a> {
 ///
 /// The buffer is only ever grown, never shrunk, so the steady-state hot
 /// loop allocates nothing — the same pattern as the GEMM packing scratch.
-/// Callers must fully overwrite every slot they read (both users —
-/// [`im2col_group`] and the `beta == 0` GEMM output — do).
+/// Callers must fully overwrite every slot they read ([`im2col_group`],
+/// the `beta == 0` GEMM output and the depthwise phase planes and wide
+/// rows all do).
 fn with_cols_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     thread_local! {
         static COLS: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
@@ -256,6 +261,13 @@ impl ConvGeometry {
             out_plane: out_h * out_w,
         })
     }
+
+    /// Whether every group has one input and one output channel: a
+    /// depthwise convolution, which runs direct kernels in both directions
+    /// instead of the im2col lowering.
+    fn is_depthwise(&self) -> bool {
+        self.cin_g == 1 && self.cout_g == 1
+    }
 }
 
 /// Unfolds one `(batch, group)` unit of `src` channel-major into the
@@ -284,6 +296,14 @@ fn im2col_group(
             for kx in 0..k {
                 let row = (ic_local * k + ky) * k + kx;
                 let out_row = &mut dst[row * g.out_plane..][..g.out_plane];
+                // `in_x = ox * stride + kx - pad` is monotonic in `ox`, so
+                // the in-image positions form one contiguous run
+                // `[ox_lo, ox_hi)` that depends on `kx` alone; everything
+                // outside it is padding. Splitting each row that way
+                // replaces the per-element bounds check with two fills and
+                // (for stride 1) a plain `copy_from_slice`, which stays fast
+                // without target-specific codegen.
+                let (ox_lo, ox_hi) = tap_range(g.out_w, g.width, spec.stride, kx, spec.padding);
                 for oy in 0..g.out_h {
                     let in_y = (oy * spec.stride + ky) as isize - pad;
                     let dst_row = &mut out_row[oy * g.out_w..(oy + 1) * g.out_w];
@@ -292,20 +312,6 @@ fn im2col_group(
                         continue;
                     }
                     let src_row = &src[in_base + in_y as usize * g.width..][..g.width];
-                    // `in_x = ox * stride + kx - pad` is monotonic in `ox`,
-                    // so the in-image positions form one contiguous run
-                    // `[ox_lo, ox_hi)`; everything outside it is padding.
-                    // Splitting the row that way replaces the per-element
-                    // bounds check with two fills and (for stride 1) a plain
-                    // `copy_from_slice`, which stays fast without
-                    // target-specific codegen.
-                    let ox_lo = usize::try_from(-(kx as isize - pad))
-                        .map_or(0, |gap| gap.div_ceil(spec.stride))
-                        .min(g.out_w);
-                    let ox_hi = usize::try_from(g.width as isize - 1 - (kx as isize - pad))
-                        .map_or(0, |last| last / spec.stride + 1)
-                        .min(g.out_w)
-                        .max(ox_lo);
                     dst_row[..ox_lo].fill(0.0);
                     dst_row[ox_hi..].fill(0.0);
                     if ox_lo == ox_hi {
@@ -389,9 +395,9 @@ fn split_threads(units: usize, macs: usize) -> (usize, Parallelism) {
 ///
 /// Returns `[batch, out_channels, out_h, out_w]`.
 ///
-/// Dense, grouped and depthwise convolutions all route through grouped
-/// im2col + GEMM (see the module docs); results are bit-identical for every
-/// [`Parallelism`] thread count.
+/// Dense and grouped convolutions route through grouped im2col + GEMM,
+/// depthwise ones through a direct tap kernel (see the module docs);
+/// results are bit-identical for every [`Parallelism`] thread count.
 ///
 /// # Errors
 ///
@@ -435,9 +441,10 @@ pub fn conv2d(
 /// prior contents are ignored and fully overwritten, so a recycled arena
 /// buffer is safe), and `fusion` carries what the layer stack fused behind
 /// this convolution — a following batch-norm and/or activation — applied
-/// inside the GEMM epilogue instead of as separate full-tensor passes
-/// (only a bias-less convolution falls back to one in-place activation
-/// sweep, since it has no epilogue to carry it).
+/// inside the GEMM epilogue (or the depthwise kernel's write-back) instead
+/// of as separate full-tensor passes (only a convolution with neither bias
+/// nor norm falls back to one in-place activation sweep, since it has no
+/// epilogue to carry it).
 ///
 /// Returns the output dimensions `[batch, out_channels, out_h, out_w]`.
 /// Results are bit-identical to [`conv2d`] followed by the separate
@@ -489,7 +496,10 @@ pub fn conv2d_fused(
     let units = g.batch * spec.groups;
     let unit_len = g.cout_g * g.out_plane;
     let macs = g.batch * spec.out_channels * g.out_plane * g.ckk;
-    obs::metrics::GEMM_CALLS.add(units as u64);
+    let depthwise = g.is_depthwise();
+    if !depthwise {
+        obs::metrics::GEMM_CALLS.add(units as u64);
+    }
     obs::metrics::GEMM_FLOPS.add(2 * macs as u64);
     let _span = obs::span_dims(
         "conv2d",
@@ -504,6 +514,10 @@ pub fn conv2d_fused(
     let (unit_threads, gemm_par) = split_threads(units, macs);
     for_each_unit(out, unit_len, unit_threads, |unit_index, unit| {
         let (b, group) = (unit_index / spec.groups, unit_index % spec.groups);
+        if depthwise {
+            depthwise_forward_unit(unit, src, w, bias_values, &fusion, &g, spec, b, group);
+            return;
+        }
         if spec.kernel == 1 && spec.stride == 1 && spec.padding == 0 {
             // Pointwise (1x1) convolution: the unfolded column matrix *is*
             // the group's input slice ([cin_g, plane] channel-major), so
@@ -523,19 +537,230 @@ pub fn conv2d_fused(
             );
             return;
         }
-        // General case, depthwise included: unfold into thread-local
-        // scratch. Depthwise convolutions (cin_g == 1, so cout_g is 1 for
-        // the paper's models) degenerate to single-row GEMMs, where
-        // `sgemm_epilogue`'s m == 1 GEMV path skips panel packing entirely
-        // and sweeps the unfolded rows contiguously — that is what fixed
-        // the old depthwise slow path (packing cost >> the K = k*k
-        // arithmetic).
+        // Dense and grouped: unfold into thread-local scratch.
         with_cols_scratch(g.ckk * g.out_plane, |cols| {
             im2col_group(cols, src, &g, spec, b, group * g.cin_g);
             conv_forward_unit(unit, cols, w, bias_values, &fusion, &g, group, gemm_par);
         });
     });
     Ok([g.batch, spec.out_channels, g.out_h, g.out_w])
+}
+
+/// Slack (in `f32` elements) past the depthwise phase planes, and the
+/// multiple the wide output is rounded up to, so every sweep runs whole
+/// vectors of the widest path (16 lanes) with no scalar tail and never
+/// reads past its scratch.
+pub(crate) const SWEEP_SLACK: usize = 16;
+
+/// One `(batch, channel)` unit of a depthwise forward, laid out for the
+/// per-ISA sweep kernels (`Kernels::depthwise`).
+///
+/// The zero-padded input plane is split into `stride * stride` phase
+/// planes: phase `(py, px)` (stored at index `py * stride + px`, each
+/// `plane_len` long with rows of `row_len`) holds the padded pixels
+/// `(y * stride + py, x * stride + px)`. Tap `(ky, kx)` of output
+/// `(oy, ox)` then reads phase `(ky % stride, kx % stride)` at row
+/// `oy + ky / stride`, column `ox + kx / stride` — so over the *wide*
+/// output index `q = oy * row_len + ox` every tap is one contiguous run of
+/// the planes (see [`tap_offset`]). Columns `ox >= out_w` of the wide rows
+/// are scratch that the caller drops.
+///
+/// Every wide output runs the chain the lowered GEMV ran: `head`, the
+/// taps in ascending `(ky, kx)` through the crate's single FMA step
+/// (padding taps multiply an explicit zero, exactly as the unfolded
+/// columns did), then `norm`, then `activation`.
+pub(crate) struct DepthwiseSweep<'a> {
+    /// The phase planes, `stride * stride * plane_len` values plus slack.
+    pub(crate) planes: &'a [f32],
+    /// The channel's `kernel * kernel` weights, row-major.
+    pub(crate) taps: &'a [f32],
+    /// Square kernel size.
+    pub(crate) kernel: usize,
+    /// Spatial stride.
+    pub(crate) stride: usize,
+    /// Length of one phase plane.
+    pub(crate) plane_len: usize,
+    /// Row length of every phase plane, and the row stride of the wide
+    /// output.
+    pub(crate) row_len: usize,
+    /// The chain head: the channel's bias, or `0`.
+    pub(crate) head: f32,
+    /// The channel's fused batch-norm, applied after the taps.
+    pub(crate) norm: Option<NormParams>,
+    /// The fused activation, applied last.
+    pub(crate) activation: Option<EpilogueActivation>,
+}
+
+impl DepthwiseSweep<'_> {
+    /// Panics unless `out_len` is a whole number of [`SWEEP_SLACK`] blocks
+    /// and a sweep writing that many wide outputs stays inside `planes` —
+    /// the bounds the SIMD kernels' unchecked, tail-free loops rely on. The
+    /// largest tap offset is at most `(s*s - 1) * plane_len + (k-1)/s *
+    /// (row_len + 1)`.
+    pub(crate) fn check(&self, out_len: usize) {
+        let (k, s) = (self.kernel, self.stride);
+        assert_eq!(self.taps.len(), k * k, "depthwise sweep: tap count");
+        assert!(
+            out_len.is_multiple_of(SWEEP_SLACK),
+            "depthwise sweep: {out_len} outputs are not whole blocks"
+        );
+        let reach = (s * s - 1) * self.plane_len + (k - 1) / s * (self.row_len + 1);
+        assert!(
+            reach + out_len <= self.planes.len(),
+            "depthwise sweep: {out_len} outputs overrun the phase planes"
+        );
+    }
+}
+
+/// Where tap `(ky, kx)` starts in the phase planes, relative to the wide
+/// output index (see [`DepthwiseSweep`]). Constant-folds for a constant
+/// kernel size and stride.
+#[inline(always)]
+pub(crate) fn tap_offset(
+    ky: usize,
+    kx: usize,
+    stride: usize,
+    plane_len: usize,
+    row_len: usize,
+) -> usize {
+    ((ky % stride) * stride + kx % stride) * plane_len + (ky / stride) * row_len + kx / stride
+}
+
+/// The portable depthwise sweep: [`DepthwiseSweep`]'s chain per wide
+/// output, with the crate's [`fused_mul_add`] semantics.
+pub(crate) fn depthwise_sweep(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    depthwise_sweep_impl::<FUSED_MULTIPLY_ADD>(sweep, out)
+}
+
+/// The body of [`depthwise_sweep`], generic over the accumulation step so
+/// the `x86` module can re-instantiate it inside a `#[target_feature]`
+/// wrapper (see [`crate::kernels::fma_step`]). Each tap is one
+/// autovectorised AXPY over the whole wide output, so its offset is worked
+/// out once per tap and constant kernel sizes would gain nothing.
+#[inline(always)]
+pub(crate) fn depthwise_sweep_impl<const FMA: bool>(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    sweep.check(out.len());
+    let (k, s, n) = (sweep.kernel, sweep.stride, out.len());
+    out.fill(sweep.head);
+    for ky in 0..k {
+        for kx in 0..k {
+            let w = sweep.taps[ky * k + kx];
+            let off = tap_offset(ky, kx, s, sweep.plane_len, sweep.row_len);
+            for (slot, &x) in out.iter_mut().zip(&sweep.planes[off..off + n]) {
+                *slot = fma_step::<FMA>(w, x, *slot);
+            }
+        }
+    }
+    match (sweep.norm, sweep.activation) {
+        (None, None) => {}
+        (None, Some(act)) => {
+            for x in out.iter_mut() {
+                *x = act.apply(*x);
+            }
+        }
+        (Some(params), None) => {
+            for x in out.iter_mut() {
+                *x = params.transform(*x);
+            }
+        }
+        (Some(params), Some(act)) => {
+            for x in out.iter_mut() {
+                *x = act.apply(params.transform(*x));
+            }
+        }
+    }
+}
+
+/// One depthwise `(batch, channel)` unit of the forward pass, with no
+/// unfold and no GEMM: the input plane is copied once into thread-local
+/// phase planes, the dispatch table's sweep runs every tap over the wide
+/// output rows, and the valid columns are copied into `unit`. The
+/// activation always rides the sweep: its in-register form equals the
+/// scalar `apply` bit for bit, so the result is bit-identical to the
+/// lowered single-row GEMV it replaces, with or without bias and norm.
+#[allow(clippy::too_many_arguments)]
+fn depthwise_forward_unit(
+    unit: &mut [f32],
+    src: &[f32],
+    w: &[f32],
+    bias_values: Option<&[f32]>,
+    fusion: &ConvFusion<'_>,
+    g: &ConvGeometry,
+    spec: &Conv2dSpec,
+    batch_index: usize,
+    channel: usize,
+) {
+    let (k, s, pad) = (spec.kernel, spec.stride, spec.padding);
+    let row_len = (g.width + 2 * pad).div_ceil(s);
+    let plane_len = (g.height + 2 * pad).div_ceil(s) * row_len;
+    let planes_len = s * s * plane_len + SWEEP_SLACK;
+    let wide_len = ((g.out_h - 1) * row_len + g.out_w).next_multiple_of(SWEEP_SLACK);
+    let plane = &src[(batch_index * spec.in_channels + channel) * g.height * g.width..]
+        [..g.height * g.width];
+    let head = bias_values.map_or(0.0, |values| values[channel]);
+    let norm = fusion.norm.map(|nm| nm.params(channel));
+    with_cols_scratch(planes_len + wide_len, |scratch| {
+        let (planes, wide) = scratch.split_at_mut(planes_len);
+        match (s, pad) {
+            (1, 1) => fill_phase_planes(planes, plane, g, 1, 1, plane_len, row_len),
+            (2, 1) => fill_phase_planes(planes, plane, g, 2, 1, plane_len, row_len),
+            (s, pad) => fill_phase_planes(planes, plane, g, s, pad, plane_len, row_len),
+        }
+        (crate::simd::kernels().depthwise)(
+            &DepthwiseSweep {
+                planes,
+                taps: &w[channel * k * k..][..k * k],
+                kernel: k,
+                stride: s,
+                plane_len,
+                row_len,
+                head,
+                norm,
+                activation: fusion.activation,
+            },
+            wide,
+        );
+        for (row, wide_row) in unit.chunks_exact_mut(g.out_w).zip(wide.chunks(row_len)) {
+            row.copy_from_slice(&wide_row[..g.out_w]);
+        }
+    });
+}
+
+/// Writes the zero-padded `height x width` input `plane` into `planes` as
+/// `stride * stride` phase planes (see [`DepthwiseSweep`]); every other
+/// slot, slack included, is zeroed.
+#[inline(always)]
+fn fill_phase_planes(
+    planes: &mut [f32],
+    plane: &[f32],
+    g: &ConvGeometry,
+    s: usize,
+    pad: usize,
+    plane_len: usize,
+    row_len: usize,
+) {
+    planes.fill(0.0);
+    for y in 0..g.height {
+        let src_row = &plane[y * g.width..][..g.width];
+        let (py, qy) = ((y + pad) % s, (y + pad) / s);
+        if s == 1 {
+            planes[qy * row_len + pad..][..g.width].copy_from_slice(src_row);
+            continue;
+        }
+        for px in 0..s {
+            // The input columns `x` with `(x + pad) % s == px`, ascending,
+            // land contiguously in phase `(py, px)` from column
+            // `(x0 + pad) / s` on.
+            let x0 = (px + s - pad % s) % s;
+            if x0 >= g.width {
+                continue;
+            }
+            let dst = &mut planes[(py * s + px) * plane_len + qy * row_len + (x0 + pad) / s..];
+            for (slot, &value) in dst.iter_mut().zip(src_row[x0..].iter().step_by(s)) {
+                *slot = value;
+            }
+        }
+    }
 }
 
 /// One `(batch, group)` unit of the forward pass: the group's GEMM with the
@@ -605,7 +830,7 @@ fn conv_forward_unit(
 /// Length (in `f32` elements) of the im2col column cache
 /// [`conv2d_fused_caching`] fills for this input: one `[ckk, out_plane]`
 /// matrix per `(batch, group)` unit, or 0 for pointwise (1x1, stride 1,
-/// unpadded) convolutions, which never unfold at all.
+/// unpadded) and depthwise convolutions, which never unfold at all.
 ///
 /// # Errors
 ///
@@ -616,10 +841,9 @@ pub fn conv2d_cols_len(input: &Tensor, spec: &Conv2dSpec) -> Result<usize> {
         // Pointwise: the input slice is the column matrix.
         return Ok(0);
     }
-    if g.cin_g == 1 && g.cout_g == 1 {
-        // Depthwise: the backward pass has direct tap kernels that read the
-        // input and weights without any column matrix, so caching one would
-        // only cost forward bandwidth.
+    if g.is_depthwise() {
+        // Depthwise: both directions run direct tap kernels that read the
+        // input and weights without any column matrix.
         return Ok(0);
     }
     Ok(g.batch * spec.groups * g.ckk * g.out_plane)
@@ -633,8 +857,8 @@ pub fn conv2d_cols_len(input: &Tensor, spec: &Conv2dSpec) -> Result<usize> {
 /// ones the forward GEMM consumed — reusing them is bit-identical to
 /// re-unfolding.
 ///
-/// For pointwise convolutions ([`conv2d_cols_len`] == 0) this is exactly
-/// [`conv2d_fused`]; `cols_cache` must then be empty.
+/// For pointwise and depthwise convolutions ([`conv2d_cols_len`] == 0)
+/// this is exactly [`conv2d_fused`]; `cols_cache` must then be empty.
 ///
 /// # Errors
 ///
@@ -882,8 +1106,11 @@ pub fn conv2d_backward_into(
     let units = g.batch * spec.groups;
     let macs = g.batch * spec.out_channels * g.out_plane * g.ckk;
     // Both backward GEMM families (grad-input and grad-weight) do the same
-    // 2 * macs FLOPs each as the forward lowering.
-    obs::metrics::GEMM_CALLS.add(2 * units as u64);
+    // 2 * macs FLOPs each as the forward lowering. Depthwise convolutions
+    // do that work in direct tap kernels, which are no GEMM calls.
+    if pointwise || !g.is_depthwise() {
+        obs::metrics::GEMM_CALLS.add(2 * units as u64);
+    }
     obs::metrics::GEMM_FLOPS.add(4 * macs as u64);
     let _span = obs::span_dims(
         "conv2d_backward",
@@ -931,7 +1158,7 @@ pub fn conv2d_backward_into(
             );
             return;
         }
-        if g.cin_g == 1 && g.cout_g == 1 {
+        if g.is_depthwise() {
             // Depthwise fast path: the grad-cols "GEMM" is the rank-1 outer
             // product `w[tap] * go[pos]`, so fold it straight into the
             // col2im scatter — same tap-major accumulation order, each
@@ -1047,13 +1274,14 @@ fn dw_grad_input_body(
 }
 
 /// The output-column range `[lo, hi)` whose tap `kx` lands inside the image:
-/// `0 <= ox * stride + kx - pad < width`.
+/// `0 <= ox * stride + kx - pad < width`. Both ends lie in `[0, out_w]`,
+/// also when the padding is wider than the image and no column qualifies.
 #[inline(always)]
 fn tap_range(out_w: usize, width: usize, stride: usize, kx: usize, pad: usize) -> (usize, usize) {
     let lo = if kx >= pad {
         0
     } else {
-        (pad - kx).div_ceil(stride)
+        (pad - kx).div_ceil(stride).min(out_w)
     };
     let hi = if width + pad <= kx {
         0
@@ -1273,7 +1501,7 @@ fn conv_grad_weight(
         g.cout_g * g.ckk,
         group_threads,
         |group, unit| {
-            if g.cin_g == 1 && g.cout_g == 1 && !pointwise {
+            if g.is_depthwise() && !pointwise {
                 // Depthwise fast path: direct taps, no unfold, no per-batch
                 // GEMM calls (see `depthwise_grad_weight_group`).
                 depthwise_grad_weight_group(unit, src, go, g, spec, group);
@@ -1419,7 +1647,9 @@ pub fn conv2d_backward_params_into(
     }
     let pointwise = spec.kernel == 1 && spec.stride == 1 && spec.padding == 0;
     let macs = g.batch * spec.out_channels * g.out_plane * g.ckk;
-    obs::metrics::GEMM_CALLS.add((g.batch * spec.groups) as u64);
+    if pointwise || !g.is_depthwise() {
+        obs::metrics::GEMM_CALLS.add((g.batch * spec.groups) as u64);
+    }
     obs::metrics::GEMM_FLOPS.add(2 * macs as u64);
     let _span = obs::span_dims(
         "conv2d_backward_params",
@@ -1661,6 +1891,7 @@ mod tests {
     use super::*;
     use crate::kernels::sgemm;
     use crate::rng::StdRng;
+    use crate::Isa;
 
     fn finite_difference_check(spec: Conv2dSpec, input_dims: [usize; 4], seed: u64) {
         let mut rng = StdRng::seed_from(seed);
@@ -1835,6 +2066,193 @@ mod tests {
                 Parallelism::auto().make_current();
             }
         }
+    }
+
+    /// The direct depthwise forward equals the direct-loop oracle followed
+    /// by the separate norm and activation passes, bit for bit, over kernel
+    /// sizes, strides, paddings (wider than the image included), plane
+    /// shapes down to a single output, batch sizes, bias, every fusion and
+    /// every dispatch path. Every case is far below the per-thread MAC
+    /// floor and runs inline; worker threads are covered by
+    /// `depthwise_forward_is_bit_identical_on_worker_threads`.
+    #[test]
+    fn depthwise_forward_matches_direct_oracle_bitwise() {
+        let mut rng = StdRng::seed_from(0xDE7);
+        let channels = 3;
+        let gamma = Tensor::randn(&[channels], 1.0, 0.3, &mut rng);
+        let beta = Tensor::randn(&[channels], 0.0, 0.3, &mut rng);
+        let mean = Tensor::randn(&[channels], 0.0, 0.3, &mut rng);
+        let var = Tensor::rand_uniform(&[channels], 0.5, 1.5, &mut rng);
+        let norm = ChannelNorm {
+            gamma: gamma.as_slice(),
+            beta: beta.as_slice(),
+            mean: mean.as_slice(),
+            var: var.as_slice(),
+            epsilon: 1e-5,
+        };
+        let fusions = [
+            ConvFusion::none(),
+            ConvFusion::activation(EpilogueActivation::HardSwish),
+            ConvFusion {
+                norm: Some(norm),
+                activation: None,
+            },
+            ConvFusion {
+                norm: Some(norm),
+                activation: Some(EpilogueActivation::HardSwish),
+            },
+        ];
+        let mut checked = 0;
+        for kernel in [1usize, 3, 5] {
+            for stride in [1usize, 2, 3] {
+                for padding in [0usize, 1, 2] {
+                    let spec = Conv2dSpec::new(channels, channels, kernel)
+                        .with_stride(stride)
+                        .with_padding(padding)
+                        .with_groups(channels);
+                    // The smallest plane the kernel fits (a 1x1 output
+                    // wherever the padding allows one) and a non-square one.
+                    let min_side = kernel.saturating_sub(2 * padding).max(1);
+                    for (height, width) in [(min_side, min_side), (kernel + 4, kernel + 9)] {
+                        for batch in [1usize, 3] {
+                            let dims = [batch, channels, height, width];
+                            let input = Tensor::randn(&dims, 0.0, 1.0, &mut rng);
+                            let weight = Tensor::randn(&spec.weight_dims(), 0.0, 0.5, &mut rng);
+                            let bias = Tensor::randn(&[channels], 0.0, 0.5, &mut rng);
+                            for bias_ref in [Some(&bias), None] {
+                                let direct =
+                                    oracle::conv2d_direct(&input, &weight, bias_ref, &spec)
+                                        .unwrap();
+                                let plane = direct.dims()[2] * direct.dims()[3];
+                                for fusion in fusions {
+                                    let expected: Vec<u32> = direct
+                                        .as_slice()
+                                        .iter()
+                                        .enumerate()
+                                        .map(|(i, &x)| {
+                                            let channel = i / plane % channels;
+                                            let x =
+                                                fusion.norm.map_or(x, |nm| nm.apply(channel, x));
+                                            fusion.activation.map_or(x, |a| a.apply(x)).to_bits()
+                                        })
+                                        .collect();
+                                    for isa in Isa::available() {
+                                        let mut out = vec![f32::NAN; direct.len()];
+                                        isa.with(|| {
+                                            conv2d_fused(
+                                                &input, &weight, bias_ref, &spec, fusion, &mut out,
+                                            )
+                                        })
+                                        .unwrap()
+                                        .unwrap();
+                                        let got: Vec<u32> =
+                                            out.iter().map(|x| x.to_bits()).collect();
+                                        assert_eq!(
+                                            got,
+                                            expected,
+                                            "k{kernel} s{stride} p{padding} {height}x{width} \
+                                             batch {batch} bias {} norm {} act {:?} {isa}",
+                                            bias_ref.is_some(),
+                                            fusion.norm.is_some(),
+                                            fusion.activation,
+                                        );
+                                        checked += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked >= 27 * 2 * 2 * 2 * 4);
+    }
+
+    /// Depthwise units on worker threads, each with its own thread-local
+    /// scratch, give the oracle's bits. The shape carries ~34.6 M MACs,
+    /// two workers' worth at the scalar table's per-thread floor, so the
+    /// scalar run really splits its units across threads; the SIMD
+    /// tables' higher floors may keep theirs inline.
+    #[test]
+    fn depthwise_forward_is_bit_identical_on_worker_threads() {
+        let mut rng = StdRng::seed_from(0xD1F);
+        let channels = 32;
+        let spec = Conv2dSpec::new(channels, channels, 5)
+            .with_padding(2)
+            .with_groups(channels);
+        let input = Tensor::randn(&[3, channels, 120, 120], 0.0, 1.0, &mut rng);
+        let weight = Tensor::randn(&spec.weight_dims(), 0.0, 0.5, &mut rng);
+        let bias = Tensor::randn(&[channels], 0.0, 0.5, &mut rng);
+        let expected = oracle::conv2d_direct(&input, &weight, Some(&bias), &spec).unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        Parallelism::fixed(2).make_current();
+        let (unit_threads, _) = Isa::Scalar
+            .with(|| split_threads(3 * channels, expected.len() * 25))
+            .unwrap();
+        assert_eq!(unit_threads, 2, "the shape must reach a second worker");
+        for isa in Isa::available() {
+            for threads in [2usize, 4] {
+                Parallelism::fixed(threads).make_current();
+                let got = isa
+                    .with(|| conv2d(&input, &weight, Some(&bias), &spec))
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(bits(&got), bits(&expected), "{isa}, threads {threads}");
+            }
+        }
+        Parallelism::auto().make_current();
+    }
+
+    /// A depthwise backward whose padding is wider than the image (no
+    /// output column has every tap in-image) matches the lowered
+    /// formulation instead of indexing past the output row.
+    #[test]
+    fn depthwise_backward_handles_padding_wider_than_the_image() {
+        let spec = Conv2dSpec::new(1, 1, 5).with_padding(2);
+        let mut rng = StdRng::seed_from(0xD12);
+        let input = Tensor::randn(&[1, 1, 10, 1], 0.0, 1.0, &mut rng);
+        let weight = Tensor::randn(&spec.weight_dims(), 0.0, 0.5, &mut rng);
+        let out = conv2d(&input, &weight, None, &spec).unwrap();
+        assert_eq!(out.dims(), &[1, 1, 10, 1]);
+        let grad_output = Tensor::randn(out.dims(), 0.0, 1.0, &mut rng);
+        let (gi, gw, _) = conv2d_backward(&input, &weight, &grad_output, &spec).unwrap();
+        // The lowered reference: grad_weight = go x colsᵀ, grad_input =
+        // col2im(wᵀ x go).
+        let g = ConvGeometry::new(&input, &spec).unwrap();
+        let mut cols = vec![0.0f32; g.ckk * g.out_plane];
+        im2col_group(&mut cols, input.as_slice(), &g, &spec, 0, 0);
+        let mut expected_gw = vec![0.0f32; g.ckk];
+        sgemm(
+            false,
+            true,
+            1,
+            g.ckk,
+            g.out_plane,
+            1.0,
+            grad_output.as_slice(),
+            &cols,
+            0.0,
+            &mut expected_gw,
+            Parallelism::single(),
+        );
+        let mut grad_cols = vec![0.0f32; g.ckk * g.out_plane];
+        sgemm(
+            true,
+            false,
+            g.ckk,
+            g.out_plane,
+            1,
+            1.0,
+            weight.as_slice(),
+            grad_output.as_slice(),
+            0.0,
+            &mut grad_cols,
+            Parallelism::single(),
+        );
+        let mut expected_gi = vec![0.0f32; input.len()];
+        col2im_group(&grad_cols, &mut expected_gi, &g, &spec);
+        assert_eq!(gw.as_slice(), expected_gw.as_slice());
+        assert_eq!(gi.as_slice(), expected_gi.as_slice());
     }
 
     /// Forward and backward results must not depend on the thread count.

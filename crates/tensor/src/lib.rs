@@ -8,12 +8,14 @@
 //!
 //! # The compute-kernel layer
 //!
-//! Every forward and backward pass in the workspace bottoms out in one
-//! kernel: the packed, cache-blocked [`sgemm`]. [`Tensor::matmul`] is a
-//! thin shape-checked wrapper over it; dense, grouped and depthwise
-//! [`conv2d`] (and [`conv2d_backward`]) are grouped im2col/col2im lowerings
-//! onto it; the `mtlsplit-nn` linear layer drives it directly with
-//! transpose flags so no pass materialises a transposed copy.
+//! Almost every forward and backward pass in the workspace bottoms out in
+//! one kernel: the packed, cache-blocked [`sgemm`]. [`Tensor::matmul`] is a
+//! thin shape-checked wrapper over it; dense and grouped [`conv2d`] (and
+//! [`conv2d_backward`]) are grouped im2col/col2im lowerings onto it; the
+//! `mtlsplit-nn` linear layer drives it directly with transpose flags so
+//! no pass materialises a transposed copy. Depthwise convolutions are the
+//! exception: both directions run direct tap kernels that keep the
+//! lowered form's per-element chains, and so its bits.
 //!
 //! ## The GEMM contract
 //!

@@ -19,13 +19,14 @@
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// How many threads the compute kernels may use.
 ///
 /// `Parallelism` is a plain copyable value with three constructors:
 ///
-/// * [`Parallelism::auto`] — resolve to `std::thread::available_parallelism`
-///   at the point of use (the default),
+/// * [`Parallelism::auto`] — resolve to `std::thread::available_parallelism`,
+///   queried once per process (the default),
 /// * [`Parallelism::single`] — always one thread,
 /// * [`Parallelism::fixed`] — an explicit thread count.
 ///
@@ -73,11 +74,22 @@ impl Parallelism {
 
     /// The concrete thread count this value stands for, resolving
     /// [`Parallelism::auto`] against the machine.
+    ///
+    /// `auto` asks `std::thread::available_parallelism` once per process
+    /// and reuses the answer: the query re-reads the affinity mask and the
+    /// cgroup quota on every call (about 24 µs on a 2-vCPU Linux VM), a
+    /// cost that every convolution and GEMM on a thread left at the default
+    /// would otherwise pay. A later change of the process's CPU affinity or
+    /// quota is therefore not observed; pin an explicit
+    /// [`Parallelism::fixed`] budget to follow one.
     pub fn resolve(self) -> usize {
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
         match self.0 {
-            0 => std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
+            0 => *AVAILABLE.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1)
+            }),
             n => n,
         }
     }
@@ -305,6 +317,10 @@ mod tests {
     fn auto_resolves_to_at_least_one() {
         assert!(Parallelism::auto().resolve() >= 1);
         assert!(Parallelism::auto().is_auto());
+        // The memoised answer is the machine's, and it is stable.
+        let machine = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(Parallelism::auto().resolve(), machine);
+        assert_eq!(Parallelism::auto().resolve(), machine);
         assert!(!Parallelism::fixed(2).is_auto());
     }
 

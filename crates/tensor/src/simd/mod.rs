@@ -1,7 +1,8 @@
 //! Runtime ISA dispatch for the compute kernels.
 //!
 //! Every hot kernel in this crate — the blocked GEMM micro-kernel, the
-//! `m == 1` GEMV serving path, and the vectorised epilogue/softmax sweeps —
+//! `m == 1` GEMV serving path, the direct depthwise-convolution sweep, and
+//! the vectorised epilogue/softmax sweeps —
 //! is reached through a [`Kernels`] dispatch table resolved **once per
 //! process** from what the CPU reports at runtime (after the
 //! `rten-simd` dispatch pattern):
@@ -26,6 +27,7 @@
 //! panic at first kernel use if never pre-flighted). Tests pin a path for
 //! one closure with [`Isa::with`].
 
+use crate::conv::DepthwiseSweep;
 use crate::error::{Result, TensorError};
 use crate::kernels::{Epilogue, TilePass};
 use std::cell::Cell;
@@ -45,6 +47,10 @@ pub(crate) type MicroFn =
 /// One `m == 1` GEMV kernel: `(trans_b, n, k, alpha, a, b, beta, c,
 /// epilogue)` with the exact semantics of `gemv_row` in `kernels.rs`.
 pub(crate) type GemvFn = fn(bool, usize, usize, f32, &[f32], &[f32], f32, &mut [f32], Epilogue<'_>);
+
+/// One depthwise sweep: every wide output of one `(batch, channel)` unit,
+/// with the exact semantics of `depthwise_sweep` in `conv.rs`.
+pub(crate) type DepthwiseFn = fn(&DepthwiseSweep<'_>, &mut [f32]);
 
 /// Subtracts a scalar from every slice element (the log-softmax shift
 /// passes). Subtraction is correctly rounded lane-wise, so every
@@ -71,6 +77,8 @@ pub(crate) struct Kernels {
     pub(crate) micro: MicroFn,
     /// The `m == 1` GEMV fast path.
     pub(crate) gemv: GemvFn,
+    /// The direct depthwise-convolution sweep.
+    pub(crate) depthwise: DepthwiseFn,
     /// Vectorised scalar-subtract for the softmax shift passes.
     pub(crate) sub: SubFn,
 }
@@ -97,6 +105,7 @@ static SCALAR_PLAIN: Kernels = Kernels {
     min_macs_per_thread: SCALAR_MIN_MACS,
     micro: crate::kernels::micro_kernel,
     gemv: crate::kernels::gemv_row,
+    depthwise: crate::conv::depthwise_sweep,
     sub: sub_scalar,
 };
 

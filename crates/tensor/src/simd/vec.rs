@@ -12,11 +12,13 @@
 //! exact vector form) and the backward gradient mask (whose derivatives
 //! branch per element).
 //!
-//! The generic bodies ([`tile_kernel`], [`gemv_kernel`], [`sub_kernel`])
+//! The generic bodies ([`tile_kernel`], [`gemv_kernel`],
+//! [`depthwise_kernel`], [`sub_kernel`])
 //! are `#[inline(always)]` and only ever instantiated inside
 //! `#[target_feature]` wrappers in the `x86` module, so the trait methods
 //! compile down to single instructions with the wrapper's feature set.
 
+use crate::conv::{tap_offset, DepthwiseSweep, SWEEP_SLACK};
 use crate::kernels::{fma_step, scale_c, BiasAxis, Epilogue, EpilogueActivation, TilePass};
 
 /// Widest micro-tile row any dispatch path writes (AVX-512: 2 × 16 lanes);
@@ -435,6 +437,64 @@ pub(crate) unsafe fn gemv_kernel<V: SimdF32>(
     }
     if let Some(act) = epilogue.activation() {
         activation_slice::<V>(c, act);
+    }
+}
+
+/// The generic depthwise sweep: the chain of `depthwise_sweep` in
+/// `conv.rs` for every wide output, one vector of outputs at a time with
+/// the accumulator held in a register across all taps (bias head, taps in
+/// ascending `(ky, kx)`, norm, activation). The 3x3 stride-1 and stride-2
+/// kernels of the paper's models get constant-folded copies.
+#[inline(always)]
+pub(crate) unsafe fn depthwise_kernel<V: SimdF32>(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    sweep.check(out.len());
+    assert!(SWEEP_SLACK.is_multiple_of(V::LANES));
+    match (sweep.kernel, sweep.stride) {
+        (3, 1) => depthwise_body::<V>(sweep, out, 3, 1),
+        (3, 2) => depthwise_body::<V>(sweep, out, 3, 2),
+        (k, s) => depthwise_body::<V>(sweep, out, k, s),
+    }
+}
+
+#[inline(always)]
+unsafe fn depthwise_body<V: SimdF32>(
+    sweep: &DepthwiseSweep<'_>,
+    out: &mut [f32],
+    k: usize,
+    s: usize,
+) {
+    let n = out.len();
+    let planes = sweep.planes.as_ptr();
+    let head = V::splat(sweep.head);
+    let vector_act = sweep
+        .activation
+        .filter(|&act| act != EpilogueActivation::Sigmoid);
+    // Every load stays inside `planes` and every block inside `out`:
+    // `check` bounds the largest tap offset plus `n`, and `n` is a whole
+    // number of 16-lane blocks.
+    let mut q = 0;
+    while q < n {
+        let mut acc = head;
+        for ky in 0..k {
+            for kx in 0..k {
+                let off = tap_offset(ky, kx, s, sweep.plane_len, sweep.row_len);
+                acc = V::splat(sweep.taps[ky * k + kx]).fma(V::load(planes.add(off + q)), acc);
+            }
+        }
+        if let Some(params) = sweep.norm {
+            acc = V::splat(params.gamma)
+                .mul(acc.sub(V::splat(params.mean)))
+                .mul(V::splat(params.inv))
+                .add(V::splat(params.beta));
+        }
+        if let Some(act) = vector_act {
+            acc = act_vec::<V>(acc, act);
+        }
+        acc.store(out.as_mut_ptr().add(q));
+        q += V::LANES;
+    }
+    if sweep.activation == Some(EpilogueActivation::Sigmoid) {
+        activation_slice::<V>(out, EpilogueActivation::Sigmoid);
     }
 }
 

@@ -9,8 +9,9 @@
 //! through a dispatch table that `simd::table`/`simd::scalar_table` select
 //! after `is_x86_feature_detected!` confirmed the features at runtime.
 
-use super::vec::{gemv_kernel, sub_kernel, tile_kernel, SimdF32};
+use super::vec::{depthwise_kernel, gemv_kernel, sub_kernel, tile_kernel, SimdF32};
 use super::{Isa, Kernels, AVX2_MIN_MACS, AVX512_MIN_MACS, SCALAR_MIN_MACS};
+use crate::conv::{depthwise_sweep_impl, DepthwiseSweep};
 use crate::kernels::{gemv_row_impl, micro_kernel_impl, Epilogue, TilePass, MC, MR, NR};
 use core::arch::x86_64::*;
 
@@ -317,6 +318,26 @@ fn gemv_avx512_entry(
 }
 
 #[target_feature(enable = "avx2,fma")]
+unsafe fn depthwise_avx2(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    depthwise_kernel::<F32x8>(sweep, out)
+}
+
+fn depthwise_avx2_entry(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    // SAFETY: stored only in the AVX2 table, selected after detection.
+    unsafe { depthwise_avx2(sweep, out) }
+}
+
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn depthwise_avx512(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    depthwise_kernel::<F32x16>(sweep, out)
+}
+
+fn depthwise_avx512_entry(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    // SAFETY: stored only in the AVX-512 table, selected after detection.
+    unsafe { depthwise_avx512(sweep, out) }
+}
+
+#[target_feature(enable = "avx2,fma")]
 unsafe fn sub_avx2(xs: &mut [f32], s: f32) {
     sub_kernel::<F32x8>(xs, s)
 }
@@ -490,6 +511,26 @@ fn gemv_scalar_fma_entry(
     unsafe { gemv_scalar_fma(trans_b, n, k, alpha, a, b, beta, c, epilogue) }
 }
 
+#[target_feature(enable = "avx2,fma")]
+unsafe fn depthwise_scalar_avx2_fma(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    depthwise_sweep_impl::<true>(sweep, out)
+}
+
+fn depthwise_scalar_avx2_fma_entry(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    // SAFETY: stored only in SCALAR_AVX2_FMA, selected after detection.
+    unsafe { depthwise_scalar_avx2_fma(sweep, out) }
+}
+
+#[target_feature(enable = "fma")]
+unsafe fn depthwise_scalar_fma(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    depthwise_sweep_impl::<true>(sweep, out)
+}
+
+fn depthwise_scalar_fma_entry(sweep: &DepthwiseSweep<'_>, out: &mut [f32]) {
+    // SAFETY: stored only in SCALAR_FMA, selected after detection.
+    unsafe { depthwise_scalar_fma(sweep, out) }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch tables.
 
@@ -502,6 +543,7 @@ pub(crate) static AVX2: Kernels = Kernels {
     min_macs_per_thread: AVX2_MIN_MACS,
     micro: micro_avx2_entry,
     gemv: gemv_avx2_entry,
+    depthwise: depthwise_avx2_entry,
     sub: sub_avx2_entry,
 };
 
@@ -514,6 +556,7 @@ pub(crate) static AVX512: Kernels = Kernels {
     min_macs_per_thread: AVX512_MIN_MACS,
     micro: micro_avx512_entry,
     gemv: gemv_avx512_entry,
+    depthwise: depthwise_avx512_entry,
     sub: sub_avx512_entry,
 };
 
@@ -527,6 +570,7 @@ pub(crate) static SCALAR_AVX2_FMA: Kernels = Kernels {
     min_macs_per_thread: SCALAR_MIN_MACS,
     micro: micro_scalar_avx2_fma_entry,
     gemv: gemv_scalar_avx2_fma_entry,
+    depthwise: depthwise_scalar_avx2_fma_entry,
     sub: super::sub_scalar,
 };
 
@@ -540,5 +584,6 @@ pub(crate) static SCALAR_FMA: Kernels = Kernels {
     min_macs_per_thread: SCALAR_MIN_MACS,
     micro: micro_scalar_fma_entry,
     gemv: gemv_scalar_fma_entry,
+    depthwise: depthwise_scalar_fma_entry,
     sub: super::sub_scalar,
 };
