@@ -115,12 +115,6 @@ impl MtlSplitModel {
         &self.backbone
     }
 
-    /// Mutable access to the shared backbone (e.g. for use inside a
-    /// [`mtlsplit_split::SplitPipeline`]).
-    pub fn backbone_mut(&mut self) -> &mut Backbone {
-        &mut self.backbone
-    }
-
     /// The task heads.
     pub fn heads(&self) -> &[TaskHead] {
         &self.heads

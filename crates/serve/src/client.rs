@@ -465,11 +465,6 @@ impl EdgeClient {
         self.codec
     }
 
-    /// Gives back the transport, e.g. to read loopback statistics.
-    pub fn into_transport(self) -> Box<dyn Transport> {
-        self.transport
-    }
-
     fn take_request_id(&mut self) -> u64 {
         let id = self.next_request_id;
         self.next_request_id = self.next_request_id.wrapping_add(1);

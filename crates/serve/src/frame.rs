@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic 0x4D544C53 ("MTLS"), little-endian
-//! 4       1     protocol version (currently 3)
+//! 4       1     protocol version ([`VERSION`])
 //! 5       1     op code
 //! 6       8     request id, u64 little-endian
 //! 14      4     body length n, u32 little-endian

@@ -1,10 +1,8 @@
 //! `mtlsplit-serve`: the deployable edge↔server serving subsystem for
 //! MTL-Split.
 //!
-//! Where [`mtlsplit_split::SplitPipeline`] *simulates* the split deployment
-//! with an analytical channel model, this crate actually runs it: an
-//! [`EdgeClient`] executes the shared backbone on-device, encodes the
-//! compact representation `Z_b` with the existing
+//! This crate runs the split deployment: an [`EdgeClient`] executes the
+//! shared backbone on-device, encodes the compact representation `Z_b` with
 //! [`mtlsplit_split::TensorCodec`], and ships it through a pluggable
 //! [`Transport`] to an [`InferenceServer`] that owns the task heads,
 //! coalesces concurrent requests into batched forward passes and streams the

@@ -8,8 +8,7 @@ use mtlsplit_tensor::TensorError;
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, SplitError>;
 
-/// Errors raised by channel/device modelling, serialization and the split
-/// pipeline.
+/// Errors raised by channel/device modelling and serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SplitError {
     /// A tensor-level operation failed.

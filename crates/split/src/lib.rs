@@ -15,8 +15,6 @@
 //!   shared representation `Z_b` for transmission.
 //! * [`paradigm`] — the LoC/RoC/SC memory- and latency-accounting used to
 //!   regenerate the Section 4.2 analysis and Table 4's green columns.
-//! * [`SplitPipeline`] — a functional end-to-end run of the split: edge
-//!   forward pass, `Z_b` serialization, simulated transfer, remote heads.
 //!
 //! # Example
 //!
@@ -40,12 +38,10 @@ mod channel;
 mod device;
 mod error;
 pub mod paradigm;
-mod pipeline;
 mod serialize;
 
 pub use channel::{ChannelModel, TransferReport};
 pub use device::{DeviceClass, EdgeDevice};
 pub use error::{Result, SplitError};
 pub use paradigm::{DeploymentAnalysis, DeploymentParadigm, MemoryFootprint, WorkloadProfile};
-pub use pipeline::{PipelineTiming, SplitPipeline};
 pub use serialize::{Precision, TensorCodec, WirePayload};

@@ -2256,30 +2256,45 @@ mod tests {
     }
 
     /// Forward and backward results must not depend on the thread count.
-    /// The shape carries several workers' worth of MACs (~9.4M forward) so
-    /// the FLOP threshold in `parallel.rs` does not clamp the sweep to a
-    /// single thread.
+    /// The shape carries ~37.7 M forward MACs, two workers' worth at the
+    /// scalar table's per-thread floor, so the scalar run really spreads
+    /// its (batch, group) units over threads; the SIMD tables' higher
+    /// floors may keep theirs inline.
     #[test]
     fn conv_backward_is_bit_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from(99);
         let spec = Conv2dSpec::new(16, 32, 3).with_padding(1).with_groups(2);
-        let input = Tensor::randn(&[4, 16, 32, 32], 0.0, 1.0, &mut rng);
+        let input = Tensor::randn(&[4, 16, 64, 64], 0.0, 1.0, &mut rng);
         let weight = Tensor::randn(&spec.weight_dims(), 0.0, 0.5, &mut rng);
-        let grad_output = Tensor::randn(&[4, 32, 32, 32], 0.0, 1.0, &mut rng);
+        let grad_output = Tensor::randn(&[4, 32, 64, 64], 0.0, 1.0, &mut rng);
+        Parallelism::fixed(2).make_current();
+        // Output elements × 8 input channels per group × 3 × 3 taps, over
+        // 4 batch items × 2 groups of units.
+        let macs = grad_output.len() * 8 * 9;
+        let (unit_threads, _) = Isa::Scalar.with(|| split_threads(4 * 2, macs)).unwrap();
+        assert_eq!(unit_threads, 2, "the shape must reach a second worker");
         Parallelism::single().make_current();
         let forward_reference = conv2d(&input, &weight, None, &spec).unwrap();
         let reference = conv2d_backward(&input, &weight, &grad_output, &spec).unwrap();
-        for threads in [2usize, 4] {
-            Parallelism::fixed(threads).make_current();
-            assert_eq!(
-                conv2d(&input, &weight, None, &spec).unwrap(),
-                forward_reference,
-                "forward diverged at {threads}"
-            );
-            let got = conv2d_backward(&input, &weight, &grad_output, &spec).unwrap();
-            assert_eq!(got.0, reference.0, "grad_input diverged at {threads}");
-            assert_eq!(got.1, reference.1, "grad_weight diverged at {threads}");
-            assert_eq!(got.2, reference.2, "grad_bias diverged at {threads}");
+        for isa in Isa::available() {
+            for threads in [2usize, 4] {
+                Parallelism::fixed(threads).make_current();
+                let (forward, got) = isa
+                    .with(|| {
+                        (
+                            conv2d(&input, &weight, None, &spec).unwrap(),
+                            conv2d_backward(&input, &weight, &grad_output, &spec).unwrap(),
+                        )
+                    })
+                    .unwrap();
+                assert_eq!(
+                    forward, forward_reference,
+                    "forward diverged: {isa}, {threads}"
+                );
+                assert_eq!(got.0, reference.0, "grad_input diverged: {isa}, {threads}");
+                assert_eq!(got.1, reference.1, "grad_weight diverged: {isa}, {threads}");
+                assert_eq!(got.2, reference.2, "grad_bias diverged: {isa}, {threads}");
+            }
         }
         Parallelism::auto().make_current();
     }

@@ -1,5 +1,7 @@
 //! Quickstart: build an MTL-Split model, train it briefly on the synthetic
-//! shapes corpus, and run the split edge→channel→server inference pipeline.
+//! shapes corpus, and serve it split: the backbone on an edge client, the
+//! heads on an in-process server behind a simulated gigabit link. Exits
+//! non-zero if the served logits differ from the monolithic forward pass.
 //!
 //! Run with:
 //! ```text
@@ -7,12 +9,13 @@
 //! ```
 
 use std::error::Error;
+use std::sync::Arc;
 
-use mtlsplit_core::{trainer, TrainConfig};
+use mtlsplit_core::{deploy, trainer, TrainConfig};
 use mtlsplit_data::shapes::ShapesConfig;
 use mtlsplit_models::BackboneKind;
-use mtlsplit_nn::Layer;
-use mtlsplit_split::{ChannelModel, SplitPipeline};
+use mtlsplit_serve::{EdgeClient, InferenceServer, LoopbackTransport, ServerConfig};
+use mtlsplit_split::{ChannelModel, Precision, TensorCodec};
 
 fn main() -> Result<(), Box<dyn Error>> {
     // 1. A small multi-task dataset: object size (8 classes) and object type
@@ -53,29 +56,41 @@ fn main() -> Result<(), Box<dyn Error>> {
     //    flattened representation Z_b crossing a simulated gigabit channel.
     //    Inference is immutable (&self), so the trained model needs no `mut`.
     let model = outcome.model;
-    let pipeline = SplitPipeline::new(ChannelModel::gigabit());
     let sample = test.images().slice_batch(0, 8)?;
-    let feature_dim = model.backbone().feature_dim();
-
-    let (payload, _features) = pipeline.edge_forward(model.backbone(), &sample)?;
-    println!(
-        "edge: produced Z_b of {} features/sample, payload {} bytes for 8 samples",
-        feature_dim,
-        payload.wire_bytes()
+    let (_, monolithic) = model.infer_forward(&sample)?;
+    let (edge, server_half) = deploy::split_for_serving(model);
+    let feature_dim = edge.feature_dim();
+    let server = InferenceServer::start(server_half.into_layers(), ServerConfig::default());
+    let mut client = EdgeClient::new(
+        edge.into_layer(),
+        TensorCodec::new(Precision::Float32),
+        Box::new(LoopbackTransport::with_channel(
+            Arc::new(server),
+            ChannelModel::gigabit(),
+        )),
     );
 
-    let heads: Vec<&dyn Layer> = model.heads().iter().map(|h| h as &dyn Layer).collect();
-    let outputs = pipeline.remote_forward(&heads, &payload)?;
+    let features = client.backbone_features(&sample)?;
+    let wire_bytes = client.codec().encode(&features).wire_bytes();
+    println!(
+        "edge: produced Z_b of {feature_dim} features/sample, payload {wire_bytes} bytes for 8 samples"
+    );
+
+    let outputs = client.infer_features(&features)?;
     for (task, logits) in outputs.iter().enumerate() {
         let predictions = logits.argmax_rows()?;
         println!("server: task {task} predictions for 8 samples: {predictions:?}");
+    }
+    if outputs != monolithic {
+        return Err("served logits differ from the monolithic forward pass".into());
     }
 
     let raw_bytes = sample.len() * 4;
     println!(
         "raw input would have been {} bytes — the split transmits {:.1}x less data",
         raw_bytes,
-        raw_bytes as f64 / payload.wire_bytes() as f64
+        raw_bytes as f64 / wire_bytes as f64
     );
+    println!("ok: served logits match the monolithic forward pass");
     Ok(())
 }

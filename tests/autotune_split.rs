@@ -1,7 +1,7 @@
 //! Integration tests of the split-point autotuner stack, end to end:
 //!
-//! * every candidate split of a real model serves and pipelines
-//!   bit-identically to the monolithic forward, across thread budgets;
+//! * every candidate split of a real model serves bit-identically to the
+//!   monolithic forward, across thread budgets;
 //! * a v4 client negotiating a non-default split over loopback *and* over a
 //!   real TCP socket gets bit-identical served outputs;
 //! * a raw socket poking the server with protocol garbage (unsupported
@@ -22,7 +22,7 @@ use mtlsplit_serve::{
     EdgeClient, Frame, InferenceServer, LoopbackTransport, MuxServer, OpCode, ServerConfig,
     SplitRule, SplitVariant, TcpTransport, HEADER_BYTES, VERSION,
 };
-use mtlsplit_split::{ChannelModel, Precision, SplitPipeline, TensorCodec};
+use mtlsplit_split::{ChannelModel, Precision, TensorCodec};
 use mtlsplit_tensor::{Parallelism, StdRng, Tensor};
 
 /// Builds the same two-task model from one seed (construction is fully
@@ -47,12 +47,12 @@ fn fixture_inputs(count: usize) -> Vec<Tensor> {
         .collect()
 }
 
-/// The headline equivalence sweep: cutting the backbone after *any* stage —
-/// piped through `SplitPipeline::run_split` or served by an
-/// `InferenceServer` holding the tail — reproduces the monolithic forward
-/// bit for bit, under 1, 2 and 4 compute threads.
+/// The headline equivalence sweep: cutting the backbone after *any* stage
+/// and serving the tail (when any) plus the heads from an `InferenceServer`
+/// reproduces the monolithic forward bit for bit, under 1, 2 and 4 compute
+/// threads.
 #[test]
-fn every_stage_splits_bitwise_identical_piped_and_served() {
+fn every_stage_serves_bitwise_identical_to_the_monolith() {
     let monolithic = fixture_model();
     let stage_count = monolithic.backbone().stage_count();
     let inputs = fixture_inputs(2);
@@ -60,34 +60,13 @@ fn every_stage_splits_bitwise_identical_piped_and_served() {
         .iter()
         .map(|x| monolithic.infer_forward(x).expect("monolithic forward").1)
         .collect();
-    let pipeline = SplitPipeline::with_precision(ChannelModel::gigabit(), Precision::Float32);
 
     for threads in [1usize, 2, 4] {
         Parallelism::fixed(threads).make_current();
         for stage in 0..stage_count {
-            // Pipeline path: edge prefix, optional backbone tail, heads.
             let (edge, server_half) =
                 deploy::split_for_serving_at(fixture_model(), stage).expect("split");
             let label = edge.boundary().label.clone();
-            let edge_layer = edge.into_layer();
-            let (tail, heads) = server_half.into_parts();
-            let head_refs: Vec<&dyn mtlsplit_nn::Layer> =
-                heads.iter().map(|h| h.as_ref()).collect();
-            for (x, reference) in inputs.iter().zip(&references) {
-                let (outputs, _timing) = pipeline
-                    .run_split(edge_layer.as_ref(), tail.as_deref(), &head_refs, x)
-                    .expect("piped split");
-                assert_eq!(
-                    &outputs, reference,
-                    "piped split after {label} diverged at {threads} threads"
-                );
-            }
-
-            // Served path: the same halves rebuilt from the seed, with the
-            // tail (when any) living inside the server's split variant.
-            let (edge, server_half) =
-                deploy::split_for_serving_at(fixture_model(), stage).expect("split");
-            let edge_layer = edge.into_layer();
             let (tail, heads) = server_half.into_parts();
             let variant = match tail {
                 Some(tail) => SplitVariant::with_tail(stage as u8, label.clone(), tail),
@@ -102,7 +81,7 @@ fn every_stage_splits_bitwise_identical_piped_and_served() {
                     .with_parallelism(Parallelism::fixed(threads)),
             );
             let mut client = EdgeClient::new(
-                edge_layer,
+                edge.into_layer(),
                 TensorCodec::default(),
                 Box::new(LoopbackTransport::new(Arc::new(server))),
             );

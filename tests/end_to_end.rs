@@ -1,12 +1,14 @@
 //! Integration tests spanning the whole stack: data generation → training →
 //! split deployment, exercising the architecture of Figure 1 end to end.
 
+use std::sync::Arc;
+
 use mtlsplit_core::experiment::{run_stl_vs_mtl, Preset};
-use mtlsplit_core::{trainer, TrainConfig};
+use mtlsplit_core::{deploy, trainer, MtlSplitModel, TrainConfig};
 use mtlsplit_data::shapes::ShapesConfig;
 use mtlsplit_models::BackboneKind;
-use mtlsplit_nn::Layer;
-use mtlsplit_split::{ChannelModel, Precision, SplitPipeline};
+use mtlsplit_serve::{EdgeClient, InferenceServer, LoopbackTransport, ServerConfig};
+use mtlsplit_split::{ChannelModel, Precision, TensorCodec};
 
 fn quick_config(seed: u64) -> TrainConfig {
     TrainConfig {
@@ -17,6 +19,21 @@ fn quick_config(seed: u64) -> TrainConfig {
         seed,
         ..TrainConfig::default()
     }
+}
+
+/// Deploys `model` at its default split: the backbone on an edge client,
+/// the heads on a server behind a simulated gigabit loopback link.
+fn serve_split(model: MtlSplitModel, precision: Precision) -> EdgeClient {
+    let (edge, server_half) = deploy::split_for_serving(model);
+    let server = InferenceServer::start(server_half.into_layers(), ServerConfig::default());
+    EdgeClient::new(
+        edge.into_layer(),
+        TensorCodec::new(precision),
+        Box::new(LoopbackTransport::with_channel(
+            Arc::new(server),
+            ChannelModel::gigabit(),
+        )),
+    )
 }
 
 #[test]
@@ -35,29 +52,18 @@ fn mtl_training_then_split_inference_matches_monolithic_inference() {
     let model = outcome.model;
 
     let sample = test.images().slice_batch(0, 6).expect("slice batch");
-    // Monolithic predictions (no network in the middle); &self inference.
-    let direct = model.predict(&sample).expect("predict");
+    // Monolithic logits (no network in the middle); &self inference.
+    let (_, direct) = model.infer_forward(&sample).expect("monolithic forward");
 
-    // Split predictions: backbone on the edge, heads behind the channel.
-    let pipeline = SplitPipeline::new(ChannelModel::gigabit());
-    let (payload, _) = pipeline
-        .edge_forward(model.backbone(), &sample)
-        .expect("edge forward");
-    let heads: Vec<&dyn Layer> = model.heads().iter().map(|h| h as &dyn Layer).collect();
-    let outputs = pipeline
-        .remote_forward(&heads, &payload)
-        .expect("remote forward");
-    let split_predictions: Vec<Vec<usize>> = outputs
-        .iter()
-        .map(|logits| logits.argmax_rows().expect("argmax"))
-        .collect();
+    // Split logits: backbone on the edge, heads behind the channel.
+    let mut client = serve_split(model, Precision::Float32);
+    let features = client.backbone_features(&sample).expect("edge forward");
+    let wire_bytes = client.codec().encode(&features).wire_bytes();
+    let outputs = client.infer_features(&features).expect("served request");
 
-    assert_eq!(
-        direct, split_predictions,
-        "splitting must not change predictions"
-    );
+    assert_eq!(direct, outputs, "splitting must not change the logits");
     // The transmitted payload is much smaller than the raw input.
-    assert!(payload.wire_bytes() * 4 < sample.len() * 4);
+    assert!(wire_bytes * 4 < sample.len() * 4);
 }
 
 #[test]
@@ -75,19 +81,15 @@ fn quantised_split_rarely_changes_predictions_and_shrinks_payload() {
     let model = outcome.model;
     let sample = test.images().slice_batch(0, 10).expect("slice batch");
     let direct = model.predict(&sample).expect("predict");
+    let full_payload_bytes = model.backbone().feature_dim() * 10 * 4;
 
-    let pipeline = SplitPipeline::with_precision(ChannelModel::gigabit(), Precision::Quant8);
-    let (payload, _) = pipeline
-        .edge_forward(model.backbone(), &sample)
-        .expect("edge forward");
-    let heads: Vec<&dyn Layer> = model.heads().iter().map(|h| h as &dyn Layer).collect();
-    let outputs = pipeline
-        .remote_forward(&heads, &payload)
-        .expect("remote forward");
+    let mut client = serve_split(model, Precision::Quant8);
+    let features = client.backbone_features(&sample).expect("edge forward");
+    let wire_bytes = client.codec().encode(&features).wire_bytes();
+    let outputs = client.infer_features(&features).expect("served request");
 
     // 8-bit quantisation of Z_b shrinks the payload ~4x...
-    let full_payload_bytes = model.backbone().feature_dim() * 10 * 4;
-    assert!(payload.wire_bytes() < full_payload_bytes / 2);
+    assert!(wire_bytes < full_payload_bytes / 2);
     // ...and at most a small fraction of predictions may flip.
     let mut agreements = 0usize;
     let mut total = 0usize;
