@@ -2023,7 +2023,11 @@ mod tests {
     }
 
     /// The satellite property test: the GEMM formulation equals the seed's
-    /// direct loop on random dense, grouped and depthwise specifications.
+    /// direct loop on random dense, grouped and depthwise specifications,
+    /// on every dispatch path and thread count. The last case carries
+    /// ~37.7 M MACs over two batch units, two workers' worth at the scalar
+    /// table's per-thread floor, so its scalar runs at 2 and 4 threads
+    /// really spread over workers; every other case runs inline.
     #[test]
     fn property_gemm_conv_matches_direct_oracle() {
         let mut rng = StdRng::seed_from(0xC0FFEE);
@@ -2046,7 +2050,13 @@ mod tests {
                 Conv2dSpec::new(2, 2, 5).with_padding(2).with_groups(2),
                 [1, 2, 11, 11],
             ),
+            (Conv2dSpec::new(16, 32, 3).with_padding(1), [2, 16, 64, 64]),
         ];
+        let (spec, dims) = cases[cases.len() - 1];
+        let macs = dims[0] * spec.out_channels * dims[2] * dims[3] * dims[1] * 9;
+        Parallelism::fixed(2).make_current();
+        let (unit_threads, _) = Isa::Scalar.with(|| split_threads(dims[0], macs)).unwrap();
+        assert_eq!(unit_threads, 2, "the last case must reach a second worker");
         for (case, (spec, dims)) in cases.iter().enumerate() {
             let input = Tensor::randn(dims, 0.0, 1.0, &mut rng);
             let weight = Tensor::randn(&spec.weight_dims(), 0.0, 0.5, &mut rng);
@@ -2054,18 +2064,22 @@ mod tests {
             for use_bias in [true, false] {
                 let bias_ref = use_bias.then_some(&bias);
                 let expected = oracle::conv2d_direct(&input, &weight, bias_ref, spec).unwrap();
-                for threads in [1usize, 2, 4] {
-                    Parallelism::fixed(threads).make_current();
-                    let got = conv2d(&input, &weight, bias_ref, spec).unwrap();
-                    assert_eq!(
-                        got, expected,
-                        "case {case} (bias={use_bias}, threads={threads}) diverged from the \
-                         direct-loop oracle"
-                    );
+                for isa in Isa::available() {
+                    for threads in [1usize, 2, 4] {
+                        Parallelism::fixed(threads).make_current();
+                        let got = isa
+                            .with(|| conv2d(&input, &weight, bias_ref, spec).unwrap())
+                            .unwrap();
+                        assert_eq!(
+                            got, expected,
+                            "case {case} (bias={use_bias}, {isa}, threads={threads}) diverged \
+                             from the direct-loop oracle"
+                        );
+                    }
                 }
-                Parallelism::auto().make_current();
             }
         }
+        Parallelism::auto().make_current();
     }
 
     /// The direct depthwise forward equals the direct-loop oracle followed

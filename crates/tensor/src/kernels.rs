@@ -1940,6 +1940,142 @@ mod tests {
         }
     }
 
+    /// The edge-tile sweep: every `(m, n)` in `1..=29 x 1..=65` (twice the
+    /// widest tile, 14 x 32, plus one) at a small `k`, then every tile
+    /// boundary shape of every table (`1`, `MR - 1`, `MR`, `MR + 1`, and
+    /// the same for `NR`) at a `k` that crosses one `KC` block, so the
+    /// partials spilled between blocks are reloaded. Every fused epilogue,
+    /// both transpose flags and a `beta != 0` case run on each shape, and
+    /// every dispatch path must match the scalar one bit for bit, from a
+    /// NaN-filled `C` wherever `C` is not an input.
+    #[test]
+    fn edge_tiles_match_the_scalar_path_bitwise() {
+        let mut rng = StdRng::seed_from(0xED6E);
+        let tables: Vec<(usize, usize)> = Isa::available()
+            .into_iter()
+            .map(|isa| isa.with(|| (crate::simd::kernels().mr, crate::simd::kernels().nr)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let near = |t: usize| [1, t - 1, t, t + 1];
+        let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+        for m in 1..=29 {
+            for n in 1..=65 {
+                shapes.push((m, n, 5));
+            }
+        }
+        for &(mr, _) in &tables {
+            for m in near(mr) {
+                for &(_, nr) in &tables {
+                    for n in near(nr) {
+                        shapes.push((m, n, KC + 3));
+                    }
+                }
+            }
+        }
+        let (max_m, max_n, max_k) = (29, 65, KC + 3);
+        let a = random_vec(max_m * max_k, &mut rng);
+        let b = random_vec(max_k * max_n, &mut rng);
+        let c0 = random_vec(max_m * max_n, &mut rng);
+        let bias = random_vec(max_n, &mut rng);
+        let forward_input = random_vec(max_m * max_n, &mut rng);
+        let gamma = random_vec(max_m, &mut rng);
+        let shift = random_vec(max_m, &mut rng);
+        let mean = random_vec(max_m, &mut rng);
+        let var: Vec<f32> = (0..max_m).map(|_| rng.uniform_range(0.05, 2.0)).collect();
+        let activations = [
+            None,
+            Some(EpilogueActivation::Relu),
+            Some(EpilogueActivation::Sigmoid),
+            Some(EpilogueActivation::HardSigmoid),
+            Some(EpilogueActivation::HardSwish),
+        ];
+        for (index, &(m, n, k)) in shapes.iter().enumerate() {
+            let norm = ChannelNorm {
+                gamma: &gamma[..m],
+                beta: &shift[..m],
+                mean: &mean[..m],
+                var: &var[..m],
+                epsilon: 1e-5,
+            };
+            let row_bias = Bias {
+                values: &bias[..m],
+                axis: BiasAxis::Row,
+            };
+            let col_bias = Bias {
+                values: &bias[..n],
+                axis: BiasAxis::Col,
+            };
+            let mut cases = vec![(Epilogue::None, 0.0), (Epilogue::None, 0.5)];
+            for bias in [row_bias, col_bias] {
+                for activation in activations {
+                    cases.push((Epilogue::with_activation(bias, activation), 0.0));
+                }
+            }
+            // The sigmoid stays scalar after the norm; hard swish does not.
+            for (bias, activation) in [
+                (Some(row_bias), Some(EpilogueActivation::Sigmoid)),
+                (None, Some(EpilogueActivation::HardSwish)),
+            ] {
+                cases.push((
+                    Epilogue::BiasNorm {
+                        bias,
+                        norm,
+                        activation,
+                    },
+                    0.0,
+                ));
+            }
+            cases.push((
+                Epilogue::Mask(GradMask {
+                    input: &forward_input[..m * n],
+                    grad: ActivationGrad::HardSwish,
+                }),
+                0.0,
+            ));
+            for (case, &(epilogue, beta)) in cases.iter().enumerate() {
+                let (trans_a, trans_b) = ((index + case) % 2 == 1, (index + case) % 4 >= 2);
+                let run = |isa: Isa| {
+                    let mut c = if beta == 0.0 {
+                        vec![f32::NAN; m * n]
+                    } else {
+                        c0[..m * n].to_vec()
+                    };
+                    isa.with(|| {
+                        sgemm_epilogue(
+                            trans_a,
+                            trans_b,
+                            m,
+                            n,
+                            k,
+                            1.0,
+                            &a[..m * k],
+                            &b[..k * n],
+                            beta,
+                            &mut c,
+                            epilogue,
+                            Parallelism::single(),
+                        )
+                    })
+                    .unwrap();
+                    c
+                };
+                let reference = run(Isa::Scalar);
+                for isa in Isa::available().into_iter().skip(1) {
+                    let got = run(isa);
+                    let same = got
+                        .iter()
+                        .zip(&reference)
+                        .all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(
+                        same,
+                        "isa={isa} m={m} n={n} k={k} ta={trans_a} tb={trans_b} \
+                         beta={beta} epilogue={epilogue:?}"
+                    );
+                }
+            }
+        }
+    }
+
     /// The unfused reference a bias/activation epilogue must match exactly:
     /// bias-prefilled output, `beta == 1` GEMM, separate activation pass.
     #[allow(clippy::too_many_arguments)]

@@ -17,19 +17,18 @@
 //! are `#[inline(always)]` and only ever instantiated inside
 //! `#[target_feature]` wrappers in the `x86` module, so the trait methods
 //! compile down to single instructions with the wrapper's feature set.
+//! [`tile_kernel`] is the one GEMM tile path of the vector tables, edge
+//! tiles included; its raw loads and stores go through [`load_at`] and
+//! [`store_at`], which check the slice bound in debug builds.
 
 use crate::conv::{tap_offset, DepthwiseSweep, SWEEP_SLACK};
 use crate::kernels::{fma_step, scale_c, BiasAxis, Epilogue, EpilogueActivation, TilePass};
 
 /// Widest micro-tile row any dispatch path writes (AVX-512: 2 × 16 lanes);
-/// sizes the stack spill buffer used by the scalar-sigmoid write-back.
+/// sizes the tile kernel's stack buffer: one spilled row for the scalar
+/// sigmoid and gradient-mask write-backs, or the slot that straddles an
+/// edge tile's width.
 const MAX_NR: usize = 32;
-
-/// Largest micro-tile any dispatch path computes (AVX-512: 14 × 32); sizes
-/// the zero-padded stack tile used for partial edge tiles. (Const-generic
-/// arithmetic cannot size arrays on stable Rust, so every path shares the
-/// maximal buffer — 1.75 KiB of stack.)
-const MAX_TILE: usize = 14 * MAX_NR;
 
 /// One SIMD vector of `f32` lanes.
 ///
@@ -73,11 +72,20 @@ pub(crate) trait SimdF32: Copy {
     unsafe fn gather(base: *const f32, index: Self::Index) -> Self;
 }
 
-/// The generic register-tiled micro-kernel: an `RT x (CT * LANES)` tile
-/// accumulated over a whole `kc` slice, with the same accumulation chain,
-/// spill/reload behaviour and fused write-back as the scalar
-/// `micro_kernel` in `kernels.rs`. Partial edge tiles run [`padded_tile`],
-/// the same full-width vector kernel against a zero-padded stack tile.
+/// The generic register-tiled micro-kernel — the only tile path of the
+/// vector tables: an `RT x (CT * LANES)` tile accumulated over a whole
+/// `kc` slice, with the same accumulation chain, spill/reload behaviour
+/// and fused write-back as the scalar `micro_kernel` in `kernels.rs`.
+///
+/// Edge tiles (`height < RT` or `width < nr`) run the same body. The whole
+/// register tile always accumulates: the packed panels are zero-filled past
+/// `height` and `width` (see `pack_a`/`pack_b`), so padding lanes only add
+/// zeros and valid lanes never see them. Only rows `< height` are seeded
+/// from and written back to `c`. A vector slot inside `width` loads and
+/// stores `c` directly; the one slot that straddles `width` goes through a
+/// stack buffer (see [`load_lanes`]/[`store_lanes`]), is transformed as a
+/// vector, and only its valid lanes reach `c`; slots past `width` never
+/// touch `c`. Every valid element therefore runs the interior tile's chain.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) unsafe fn tile_kernel<V: SimdF32, const RT: usize, const CT: usize>(
@@ -92,46 +100,79 @@ pub(crate) unsafe fn tile_kernel<V: SimdF32, const RT: usize, const CT: usize>(
     abs_row: usize,
     pass: TilePass<'_>,
 ) {
+    // The raw accesses of the body stay inside these bounds: the panels
+    // hold `kc` steps of the whole tile, `c` the valid region.
+    let nr = CT * V::LANES;
+    assert!((1..=RT).contains(&height) && (1..=nr).contains(&width));
+    assert!(panel_a.len() >= kc * RT && panel_b.len() >= kc * nr);
+    assert!(c.len() >= c_offset + (height - 1) * ldc + width);
+    // A full tile runs its own copy of the body with constant bounds, so
+    // the row and column checks fold away.
+    if height == RT && width == nr {
+        tile_body::<V, RT, CT>(
+            panel_a, panel_b, kc, c, c_offset, ldc, RT, nr, abs_row, pass,
+        )
+    } else {
+        tile_body::<V, RT, CT>(
+            panel_a, panel_b, kc, c, c_offset, ldc, height, width, abs_row, pass,
+        )
+    }
+}
+
+/// The body of [`tile_kernel`] for a `height x width` region of the tile.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn tile_body<V: SimdF32, const RT: usize, const CT: usize>(
+    panel_a: &[f32],
+    panel_b: &[f32],
+    kc: usize,
+    c: &mut [f32],
+    c_offset: usize,
+    ldc: usize,
+    height: usize,
+    width: usize,
+    abs_row: usize,
+    pass: TilePass<'_>,
+) {
     let nr = CT * V::LANES;
     debug_assert!(nr <= MAX_NR);
-    debug_assert!(panel_a.len() >= kc * RT);
-    debug_assert!(panel_b.len() >= kc * nr);
-    if height < RT || width < nr {
-        padded_tile::<V, RT, CT>(
-            panel_a, panel_b, kc, c, c_offset, ldc, height, width, abs_row, pass,
-        );
-        return;
-    }
-    debug_assert!(c.len() >= c_offset + (RT - 1) * ldc + nr);
+    // Spill buffer: one row for the scalar-evaluated write-backs, the first
+    // `LANES` values for a straddling slot.
+    let mut buf = [0.0f32; MAX_NR];
     // Accumulator init: beta * C on the first K block (beta == 0 never
     // reads C), reload of the spilled partials afterwards — the same chain
-    // heads as the scalar kernel, multiplication lane-exact.
+    // heads as the scalar kernel, multiplication lane-exact. The loops run
+    // to the constant tile size and stop at `height`/`width`, so the tile
+    // keeps constant indices and stays in registers.
     let mut acc = [[V::zero(); CT]; RT];
-    if pass.first_k_block {
-        if pass.beta != 0.0 {
-            let beta = V::splat(pass.beta);
-            for (i, row) in acc.iter_mut().enumerate() {
-                for (j, slot) in row.iter_mut().enumerate() {
-                    *slot = beta.mul(V::load(c.as_ptr().add(c_offset + i * ldc + j * V::LANES)));
-                }
-            }
-        }
-    } else {
+    if !pass.first_k_block || pass.beta != 0.0 {
+        let beta = V::splat(pass.beta);
         for (i, row) in acc.iter_mut().enumerate() {
+            if i == height {
+                break;
+            }
             for (j, slot) in row.iter_mut().enumerate() {
-                *slot = V::load(c.as_ptr().add(c_offset + i * ldc + j * V::LANES));
+                let col = j * V::LANES;
+                if col >= width {
+                    break;
+                }
+                let value = load_lanes::<V>(c, c_offset + i * ldc + col, width - col, &mut buf);
+                *slot = if pass.first_k_block {
+                    beta.mul(value)
+                } else {
+                    value
+                };
             }
         }
     }
-    let pa = panel_a.as_ptr();
-    let pb = panel_b.as_ptr();
     for p in 0..kc {
         let mut b_vecs = [V::zero(); CT];
         for (j, slot) in b_vecs.iter_mut().enumerate() {
-            *slot = V::load(pb.add(p * nr + j * V::LANES));
+            *slot = load_at::<V>(panel_b, p * nr + j * V::LANES);
         }
         for (i, row) in acc.iter_mut().enumerate() {
-            let a_value = V::splat(*pa.add(p * RT + i));
+            debug_assert!(p * RT + i < panel_a.len());
+            let a_value = V::splat(*panel_a.get_unchecked(p * RT + i));
             for (j, slot) in row.iter_mut().enumerate() {
                 *slot = a_value.fma(b_vecs[j], *slot);
             }
@@ -139,81 +180,106 @@ pub(crate) unsafe fn tile_kernel<V: SimdF32, const RT: usize, const CT: usize>(
     }
     // Fused write-back, firing only on the final K block (the drivers
     // populate `pass.norm/activation/mask` only there). The gradient mask
-    // and the sigmoid evaluate their scalar expressions per element — the
-    // tile spills to a stack buffer first — every other transform maps
-    // lane-exact onto vector ops in the scalar evaluation order.
-    if let Some(mask) = pass.mask {
-        let mut buf = [0.0f32; MAX_NR];
-        for (i, row) in acc.iter().enumerate() {
+    // and the sigmoid evaluate their scalar expressions per element from a
+    // spilled row; every other transform maps lane-exact onto vector ops in
+    // the scalar evaluation order.
+    let sigmoid = pass.activation == Some(EpilogueActivation::Sigmoid);
+    let vector_act = pass.activation.filter(|_| !sigmoid);
+    for (i, row) in acc.iter().enumerate() {
+        if i == height {
+            break;
+        }
+        let base = c_offset + i * ldc;
+        if let Some(mask) = pass.mask {
             for (j, &value) in row.iter().enumerate() {
-                value.store(buf.as_mut_ptr().add(j * V::LANES));
+                store_at(value, &mut buf, j * V::LANES);
             }
-            let base = c_offset + i * ldc;
-            for (j, &x) in buf.iter().enumerate().take(nr) {
+            for (j, &x) in buf.iter().enumerate().take(width) {
                 c[base + j] = x * mask.grad.derivative(mask.input[base + j]);
             }
+            continue;
         }
-        return;
-    }
-    match (pass.norm, pass.activation) {
-        (None, None) => {
-            for (i, row) in acc.iter().enumerate() {
-                for (j, &value) in row.iter().enumerate() {
-                    value.store(c.as_mut_ptr().add(c_offset + i * ldc + j * V::LANES));
-                }
+        // Hoist the row's channel constants like the scalar kernel; the
+        // vector transform mirrors `NormParams::transform`'s operation
+        // order exactly: sub, mul, mul, add.
+        let norm = pass.norm.map(|nm| {
+            let params = nm.params(abs_row + i);
+            [params.gamma, params.mean, params.inv, params.beta].map(|x| V::splat(x))
+        });
+        for (j, mut value) in row.iter().copied().enumerate() {
+            let col = j * V::LANES;
+            if col >= width {
+                break;
             }
-        }
-        (None, Some(EpilogueActivation::Sigmoid)) => {
-            let mut buf = [0.0f32; MAX_NR];
-            for (i, row) in acc.iter().enumerate() {
-                for (j, &value) in row.iter().enumerate() {
-                    value.store(buf.as_mut_ptr().add(j * V::LANES));
-                }
-                let base = c_offset + i * ldc;
-                for (j, &x) in buf.iter().enumerate().take(nr) {
-                    c[base + j] = EpilogueActivation::Sigmoid.apply(x);
-                }
+            if let Some([gamma, mean, inv, shift]) = norm {
+                value = gamma.mul(value.sub(mean)).mul(inv).add(shift);
             }
-        }
-        (None, Some(act)) => {
-            for (i, row) in acc.iter().enumerate() {
-                for (j, &value) in row.iter().enumerate() {
-                    act_vec::<V>(value, act)
-                        .store(c.as_mut_ptr().add(c_offset + i * ldc + j * V::LANES));
-                }
+            if sigmoid {
+                store_at(value, &mut buf, col);
+                continue;
             }
+            if let Some(act) = vector_act {
+                value = act_vec::<V>(value, act);
+            }
+            store_lanes(value, c, base + col, width - col, &mut buf);
         }
-        (Some(nm), act) => {
-            let mut buf = [0.0f32; MAX_NR];
-            for (i, row) in acc.iter().enumerate() {
-                // Hoist the row's channel constants like the scalar kernel;
-                // the vector transform mirrors `NormParams::transform`'s
-                // operation order exactly: sub, mul, mul, add.
-                let params = nm.params(abs_row + i);
-                let gamma = V::splat(params.gamma);
-                let mean = V::splat(params.mean);
-                let inv = V::splat(params.inv);
-                let shift = V::splat(params.beta);
-                for (j, &value) in row.iter().enumerate() {
-                    let normed = gamma.mul(value.sub(mean)).mul(inv).add(shift);
-                    let dst = c.as_mut_ptr().add(c_offset + i * ldc + j * V::LANES);
-                    match act {
-                        None => normed.store(dst),
-                        Some(EpilogueActivation::Sigmoid) => {
-                            normed.store(buf.as_mut_ptr().add(j * V::LANES))
-                        }
-                        Some(act) => act_vec::<V>(normed, act).store(dst),
-                    }
-                }
-                if act == Some(EpilogueActivation::Sigmoid) {
-                    let base = c_offset + i * ldc;
-                    for (j, &x) in buf.iter().enumerate().take(nr) {
-                        c[base + j] = EpilogueActivation::Sigmoid.apply(x);
-                    }
-                }
+        if sigmoid {
+            for (j, &x) in buf.iter().enumerate().take(width) {
+                c[base + j] = EpilogueActivation::Sigmoid.apply(x);
             }
         }
     }
+}
+
+/// `V::load` of `xs[offset..offset + LANES]`; the bound is checked in
+/// debug builds.
+#[inline(always)]
+unsafe fn load_at<V: SimdF32>(xs: &[f32], offset: usize) -> V {
+    debug_assert!(offset + V::LANES <= xs.len());
+    V::load(xs.as_ptr().add(offset))
+}
+
+/// `V::store` to `xs[offset..offset + LANES]`; the bound is checked in
+/// debug builds.
+#[inline(always)]
+unsafe fn store_at<V: SimdF32>(value: V, xs: &mut [f32], offset: usize) {
+    debug_assert!(offset + V::LANES <= xs.len());
+    value.store(xs.as_mut_ptr().add(offset))
+}
+
+/// Loads the slot of `c` at `offset` whose first `valid` lanes lie inside
+/// the tile: directly when the whole slot does, otherwise through `buf`,
+/// with the lanes past `valid` zero.
+#[inline(always)]
+unsafe fn load_lanes<V: SimdF32>(
+    c: &[f32],
+    offset: usize,
+    valid: usize,
+    buf: &mut [f32; MAX_NR],
+) -> V {
+    if valid >= V::LANES {
+        return load_at(c, offset);
+    }
+    buf[..valid].copy_from_slice(&c[offset..offset + valid]);
+    buf[valid..V::LANES].fill(0.0);
+    load_at(buf, 0)
+}
+
+/// Stores the first `valid` lanes of `value` to `c` at `offset`: directly
+/// when the whole slot lies inside the tile, otherwise through `buf`.
+#[inline(always)]
+unsafe fn store_lanes<V: SimdF32>(
+    value: V,
+    c: &mut [f32],
+    offset: usize,
+    valid: usize,
+    buf: &mut [f32; MAX_NR],
+) {
+    if valid >= V::LANES {
+        return store_at(value, c, offset);
+    }
+    store_at(value, buf, 0);
+    c[offset..offset + valid].copy_from_slice(&buf[..valid]);
 }
 
 /// The vector form of [`EpilogueActivation::apply`] for the activations
@@ -241,102 +307,6 @@ unsafe fn hard_sigmoid_vec<V: SimdF32>(x: V) -> V {
         .div(V::splat(6.0))
         .max(V::splat(0.0))
         .min(V::splat(1.0))
-}
-
-/// Partial edge tiles (`height < RT` or `width < nr`): runs the *same*
-/// full-size vector accumulation as the interior path against a zero-padded
-/// stack tile, then writes the valid `height x width` region back with the
-/// scalar epilogue expressions.
-///
-/// Bit-exactness: the valid region's chain heads are seeded exactly as the
-/// interior path seeds them (`beta * C`, reload, or zero), the `kc` loop
-/// executes the identical lane-wise FMA chain, and the packed panels are
-/// zero-filled past `height`/`width` (see `pack_a`/`pack_b`), so padding
-/// lanes only ever accumulate zeros and the valid lanes never see them. The
-/// scalar epilogue expressions are lane-exact equal to their vector forms
-/// by construction. Keeping edge tiles on the vector kernel (at the cost of
-/// computing the padding lanes) is what stops short-`m` GEMMs — grouped
-/// convolutions especially — from collapsing onto a per-element loop.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-unsafe fn padded_tile<V: SimdF32, const RT: usize, const CT: usize>(
-    panel_a: &[f32],
-    panel_b: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    c_offset: usize,
-    ldc: usize,
-    height: usize,
-    width: usize,
-    abs_row: usize,
-    pass: TilePass<'_>,
-) {
-    let nr = CT * V::LANES;
-    debug_assert!(RT * nr <= MAX_TILE);
-    let mut tile = [0.0f32; MAX_TILE];
-    // Seed the valid region's chain heads; the padding stays zero. Partial
-    // sums spilled between K blocks live in `c` for the valid region only,
-    // so padding lanes restart from zero each block — they are never read.
-    if pass.first_k_block {
-        if pass.beta != 0.0 {
-            for i in 0..height {
-                for j in 0..width {
-                    tile[i * nr + j] = pass.beta * c[c_offset + i * ldc + j];
-                }
-            }
-        }
-    } else {
-        for i in 0..height {
-            for j in 0..width {
-                tile[i * nr + j] = c[c_offset + i * ldc + j];
-            }
-        }
-    }
-    let mut acc = [[V::zero(); CT]; RT];
-    for (i, row) in acc.iter_mut().enumerate() {
-        for (j, slot) in row.iter_mut().enumerate() {
-            *slot = V::load(tile.as_ptr().add(i * nr + j * V::LANES));
-        }
-    }
-    let pa = panel_a.as_ptr();
-    let pb = panel_b.as_ptr();
-    for p in 0..kc {
-        let mut b_vecs = [V::zero(); CT];
-        for (j, slot) in b_vecs.iter_mut().enumerate() {
-            *slot = V::load(pb.add(p * nr + j * V::LANES));
-        }
-        for (i, row) in acc.iter_mut().enumerate() {
-            let a_value = V::splat(*pa.add(p * RT + i));
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = a_value.fma(b_vecs[j], *slot);
-            }
-        }
-    }
-    for (i, row) in acc.iter().enumerate() {
-        for (j, &value) in row.iter().enumerate() {
-            value.store(tile.as_mut_ptr().add(i * nr + j * V::LANES));
-        }
-    }
-    // Scalar write-back of the valid region with the fused transforms —
-    // lane-exact equal to the vector write-back the interior path uses.
-    for i in 0..height {
-        let norm = pass.norm.map(|nm| nm.params(abs_row + i));
-        for j in 0..width {
-            let index = c_offset + i * ldc + j;
-            let mut acc = tile[i * nr + j];
-            if let Some(mask) = pass.mask {
-                acc *= mask.grad.derivative(mask.input[index]);
-            } else {
-                if let Some(params) = norm {
-                    acc = params.transform(acc);
-                }
-                if let Some(act) = pass.activation {
-                    acc = act.apply(acc);
-                }
-            }
-            c[index] = acc;
-        }
-    }
 }
 
 /// The generic `m == 1` GEMV: identical per-element chains to the scalar

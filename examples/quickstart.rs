@@ -1,6 +1,7 @@
 //! Quickstart: build an MTL-Split model, train it briefly on the synthetic
 //! shapes corpus, and serve it split: the backbone on an edge client, the
-//! heads on an in-process server behind a simulated gigabit link. Exits
+//! heads on an in-process server over the loopback transport. Prints what
+//! the measured `Z_b` payload would take on a gigabit link, and exits
 //! non-zero if the served logits differ from the monolithic forward pass.
 //!
 //! Run with:
@@ -53,8 +54,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // 3. Deploy: backbone on the "edge", heads on the "server", with the
-    //    flattened representation Z_b crossing a simulated gigabit channel.
-    //    Inference is immutable (&self), so the trained model needs no `mut`.
+    //    flattened representation Z_b crossing the in-process loopback
+    //    transport. Inference is immutable (&self), so the trained model
+    //    needs no `mut`.
     let model = outcome.model;
     let sample = test.images().slice_batch(0, 8)?;
     let (_, monolithic) = model.infer_forward(&sample)?;
@@ -64,16 +66,17 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut client = EdgeClient::new(
         edge.into_layer(),
         TensorCodec::new(Precision::Float32),
-        Box::new(LoopbackTransport::with_channel(
-            Arc::new(server),
-            ChannelModel::gigabit(),
-        )),
+        Box::new(LoopbackTransport::new(Arc::new(server))),
     );
 
     let features = client.backbone_features(&sample)?;
     let wire_bytes = client.codec().encode(&features).wire_bytes();
     println!(
         "edge: produced Z_b of {feature_dim} features/sample, payload {wire_bytes} bytes for 8 samples"
+    );
+    println!(
+        "a gigabit link would carry it in {:.1} us",
+        ChannelModel::gigabit().transfer_time_bytes(wire_bytes) * 1e6
     );
 
     let outputs = client.infer_features(&features)?;

@@ -8,7 +8,7 @@ use mtlsplit_core::{deploy, trainer, MtlSplitModel, TrainConfig};
 use mtlsplit_data::shapes::ShapesConfig;
 use mtlsplit_models::BackboneKind;
 use mtlsplit_serve::{EdgeClient, InferenceServer, LoopbackTransport, ServerConfig};
-use mtlsplit_split::{ChannelModel, Precision, TensorCodec};
+use mtlsplit_split::{Precision, TensorCodec};
 
 fn quick_config(seed: u64) -> TrainConfig {
     TrainConfig {
@@ -22,17 +22,14 @@ fn quick_config(seed: u64) -> TrainConfig {
 }
 
 /// Deploys `model` at its default split: the backbone on an edge client,
-/// the heads on a server behind a simulated gigabit loopback link.
+/// the heads on an in-process server over the loopback transport.
 fn serve_split(model: MtlSplitModel, precision: Precision) -> EdgeClient {
     let (edge, server_half) = deploy::split_for_serving(model);
     let server = InferenceServer::start(server_half.into_layers(), ServerConfig::default());
     EdgeClient::new(
         edge.into_layer(),
         TensorCodec::new(precision),
-        Box::new(LoopbackTransport::with_channel(
-            Arc::new(server),
-            ChannelModel::gigabit(),
-        )),
+        Box::new(LoopbackTransport::new(Arc::new(server))),
     )
 }
 
@@ -55,7 +52,7 @@ fn mtl_training_then_split_inference_matches_monolithic_inference() {
     // Monolithic logits (no network in the middle); &self inference.
     let (_, direct) = model.infer_forward(&sample).expect("monolithic forward");
 
-    // Split logits: backbone on the edge, heads behind the channel.
+    // Split logits: backbone on the edge, heads behind the loopback transport.
     let mut client = serve_split(model, Precision::Float32);
     let features = client.backbone_features(&sample).expect("edge forward");
     let wire_bytes = client.codec().encode(&features).wire_bytes();
